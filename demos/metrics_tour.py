@@ -4,6 +4,7 @@ Run:  python demos/metrics_tour.py
 """
 
 from classaudit import class_metrics, parse_compilation_unit
+from classaudit.javamodel.model import CC_EVENT_KINDS
 from classaudit.metrics import method_cc, method_coco
 
 SOURCE = """
@@ -35,17 +36,15 @@ print(f"  attributes: {[a.name for a in cls.attributes]}")
 print(f"  line span {cls.line_span}, {cls.loc} lines, {cls.blank_lines} blank")
 print()
 
-# Per-method facts feed the class-level formulas.
+# Per-method facts feed the class-level formulas. One event list, in source
+# order, drives both complexity metrics.
 for m in cls.methods:
-    p = m.decision_profile
+    n = sum(1 for kind, _ in m.events if kind in CC_EVENT_KINDS)
     print(f"method {m.name}({', '.join(m.parameter_types)})")
     print(f"  touches attributes: {sorted(m.accessed_attributes)}")
-    print(f"  decision points: if={p.if_count} loops={p.loop_count} "
-          f"cases={p.case_count} catch={p.catch_count} "
-          f"ternary={p.ternary_count} &&/||={p.short_circuit_count}")
-    print(f"  cyclomatic complexity = 1 + {p.total()} = {method_cc(m)}")
-    print(f"  cognitive events (kind, depth): {m.cognitive_events}")
-    print(f"  cognitive complexity = {method_coco(m)}")
+    print(f"  events (kind, depth): {m.events}")
+    print(f"  CC = 1 + {n} decision events = {method_cc(m)}")
+    print(f"  CoCo = {method_coco(m)}")
     print()
 
 m = class_metrics(cls)

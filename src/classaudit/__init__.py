@@ -19,7 +19,6 @@ from .errors import (
 )
 from .javamodel import (
     AttributeDecl,
-    DecisionProfile,
     MethodView,
     SourceClass,
     count_loc_and_blank,
@@ -47,7 +46,6 @@ __all__ = [
     "ClassMetrics",
     "ClassRecord",
     "ConfigError",
-    "DecisionProfile",
     "Diagnostics",
     "EmptyInput",
     "FilterOutcome",

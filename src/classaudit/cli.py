@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Optional, TextIO
 
 from .classify import EXCLUDED_TO_DROP, EXCLUDED_TO_REST, SuffixRules, load_rules
-from .errors import AuditError, ConfigError, MissingColumn
+from .errors import AuditError, ConfigError
 from .pipeline import (
     DEFAULT_CAM_COLUMN_MAP,
     Diagnostics,
@@ -103,13 +103,7 @@ def run(config: RunConfig, out: TextIO = None, err: TextIO = None) -> int:
         if diag.skip_rate() > SKIP_RATE_EXIT_THRESHOLD:
             return 2
         return 0
-    except (ConfigError, MissingColumn) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except AuditError as exc:
+    except (AuditError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

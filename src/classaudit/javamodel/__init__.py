@@ -1,47 +1,17 @@
 """Structural model of Java source: classes, members, control-flow facts."""
 
-from .body import analyze_body, build_decision_profile, extract_attribute_accesses
-from .model import (
-    AttributeDecl,
-    DecisionProfile,
-    MethodView,
-    SourceClass,
-    EVENT_BOOL_RUN,
-    EVENT_CATCH,
-    EVENT_ELSE,
-    EVENT_ELSE_IF,
-    EVENT_IF,
-    EVENT_LOOP,
-    EVENT_RECURSION,
-    EVENT_SWITCH,
-    EVENT_TERNARY,
-    FLAT_EVENT_KINDS,
-    NESTING_EVENT_KINDS,
-)
+from .body import analyze_body
+from .model import AttributeDecl, MethodView, SourceClass
 from .parser import count_loc_and_blank, parse_compilation_unit
 from .tokens import Token, tokenize
 
 __all__ = [
     "AttributeDecl",
-    "DecisionProfile",
     "MethodView",
     "SourceClass",
     "Token",
     "analyze_body",
-    "build_decision_profile",
-    "extract_attribute_accesses",
     "count_loc_and_blank",
     "parse_compilation_unit",
     "tokenize",
-    "EVENT_BOOL_RUN",
-    "EVENT_CATCH",
-    "EVENT_ELSE",
-    "EVENT_ELSE_IF",
-    "EVENT_IF",
-    "EVENT_LOOP",
-    "EVENT_RECURSION",
-    "EVENT_SWITCH",
-    "EVENT_TERNARY",
-    "FLAT_EVENT_KINDS",
-    "NESTING_EVENT_KINDS",
 ]

@@ -1,10 +1,13 @@
 """Single-pass analysis of one method body's token stream.
 
-One lenient recursive-descent walk produces three things at once:
+One lenient recursive-descent walk produces two things at once:
 
 * the set of owning-class attributes the body reads or writes,
-* decision-point counts (if / loop / case / catch / ternary / ``&&``-``||``),
-* cognitive events ``(kind, nesting_depth)`` for the readability metric.
+* one ``(kind, nesting_depth)`` event per decision construct, in source
+  order: if / else-if / else, loop, switch, case label, catch, ternary,
+  ``&&``/``||`` (``bool_run`` for the operator that starts a run of one
+  operator, ``bool_op`` for each that continues it) and direct recursion.
+  Cyclomatic and cognitive complexity are both computed from this list.
 
 Resolution is purely lexical and intra-class. A bare identifier counts as an
 attribute access when it matches a declared attribute, is not qualified by
@@ -23,8 +26,9 @@ control-clause expressions stay at the construct's own depth.
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .model import (
-    DecisionProfile,
+    EVENT_BOOL_OP,
     EVENT_BOOL_RUN,
+    EVENT_CASE,
     EVENT_CATCH,
     EVENT_ELSE,
     EVENT_ELSE_IF,
@@ -33,6 +37,7 @@ from .model import (
     EVENT_RECURSION,
     EVENT_SWITCH,
     EVENT_TERNARY,
+    Event,
 )
 from .tokens import IDENT, PRIMITIVE_TYPES, Token
 
@@ -47,29 +52,11 @@ def analyze_body(
     attr_names: Set[str],
     param_names: Sequence[str],
     method_name: str,
-) -> Tuple[Set[str], DecisionProfile, List[Tuple[str, int]]]:
+) -> Tuple[Set[str], List[Event]]:
     """Analyze the tokens between a method's braces (braces excluded)."""
     walker = _BodyWalker(tokens, attr_names, param_names, method_name)
     walker.run()
-    return walker.accessed, walker.profile, walker.events
-
-
-def extract_attribute_accesses(
-    tokens: Sequence[Token],
-    attr_names: Set[str],
-    param_names: Sequence[str] = (),
-) -> Set[str]:
-    """Attribute names the body touches, under the lexical shadowing rules."""
-    accessed, _, _ = analyze_body(tokens, attr_names, param_names, "")
-    return accessed
-
-
-def build_decision_profile(
-    tokens: Sequence[Token],
-) -> Tuple[DecisionProfile, List[Tuple[str, int]]]:
-    """Decision-point counts plus cognitive events for one body."""
-    _, profile, events = analyze_body(tokens, set(), (), "")
-    return profile, events
+    return walker.accessed, walker.events
 
 
 class _BodyWalker:
@@ -81,8 +68,7 @@ class _BodyWalker:
         self.method_name = method_name
         self.scopes: List[Set[str]] = [set(param_names)]
         self.accessed: Set[str] = set()
-        self.profile = DecisionProfile()
-        self.events: List[Tuple[str, int]] = []
+        self.events: List[Event] = []
         self.last: Optional[Token] = None
 
     # ---- cursor helpers -------------------------------------------------
@@ -174,14 +160,12 @@ class _BodyWalker:
             return
         if t == "while":
             self.eat()
-            self.profile.loop_count += 1
             self.events.append((EVENT_LOOP, depth))
             self.parse_paren_expr(depth)
             self.embedded(depth + 1)
             return
         if t == "do":
             self.eat()
-            self.profile.loop_count += 1
             self.events.append((EVENT_LOOP, depth))
             self.embedded(depth + 1)
             if self.eat_if("while"):  # tail condition, not a second loop
@@ -251,7 +235,6 @@ class _BodyWalker:
 
     def parse_if(self, depth: int, is_else_if: bool):
         self.eat()  # 'if'
-        self.profile.if_count += 1
         self.events.append((EVENT_ELSE_IF if is_else_if else EVENT_IF, depth))
         self.parse_paren_expr(depth)
         self.embedded(depth + 1)
@@ -264,7 +247,6 @@ class _BodyWalker:
 
     def parse_for(self, depth: int):
         self.eat()  # 'for'
-        self.profile.loop_count += 1
         self.events.append((EVENT_LOOP, depth))
         if self.txt() != "(":
             self.embedded(depth + 1)
@@ -302,7 +284,7 @@ class _BodyWalker:
             t = self.txt()
             if t == "case":
                 self.eat()
-                self.profile.case_count += 1
+                self.events.append((EVENT_CASE, depth))
                 self.parse_expr({":", "->"}, depth)
             elif t == "default":
                 self.eat()
@@ -340,7 +322,6 @@ class _BodyWalker:
             self.pop_scope()
         while self.txt() == "catch":
             self.eat()
-            self.profile.catch_count += 1
             self.events.append((EVENT_CATCH, depth))
             self.push_scope()
             if self.eat_if("("):
@@ -415,10 +396,9 @@ class _BodyWalker:
                     self.eat_if("}")
                 continue
             if t in ("&&", "||"):
-                self.profile.short_circuit_count += 1
-                if t != last_bool:
-                    self.events.append((EVENT_BOOL_RUN, depth))
-                    last_bool = t
+                kind = EVENT_BOOL_OP if t == last_bool else EVENT_BOOL_RUN
+                self.events.append((kind, depth))
+                last_bool = t
                 self.eat()
                 continue
             if t == ",":
@@ -429,7 +409,6 @@ class _BodyWalker:
                 if self._is_wildcard():
                     self.eat()
                     continue
-                self.profile.ternary_count += 1
                 self.events.append((EVENT_TERNARY, depth))
                 self.eat()
                 self.parse_expr({":"}, depth + 1)

@@ -5,6 +5,10 @@ become units; interfaces, enums, records, annotation types, and anonymous
 classes do not. That scope is a modeling decision, not something the input
 format dictates: it keeps the attribute-based cohesion metrics well defined.
 Constructors are excluded from the method list everywhere.
+
+Each method carries a single list of ``(kind, depth)`` events from the body
+walker, one per decision construct; cyclomatic and cognitive complexity are
+both folds over that list (see ``metrics``).
 """
 
 from dataclasses import dataclass, field
@@ -17,39 +21,25 @@ class AttributeDecl:
     is_static: bool = False
 
 
-@dataclass
-class DecisionProfile:
-    """Decision-point counts for one method body.
-
-    Each ``if`` keyword, loop keyword (for / enhanced-for / while / do),
-    ``case`` label group, ``catch`` clause, ternary operator, and
-    short-circuit ``&&``/``||`` token counts once.
-    """
-
-    if_count: int = 0
-    loop_count: int = 0
-    case_count: int = 0
-    catch_count: int = 0
-    ternary_count: int = 0
-    short_circuit_count: int = 0
-
-    def total(self) -> int:
-        return (self.if_count + self.loop_count + self.case_count
-                + self.catch_count + self.ternary_count
-                + self.short_circuit_count)
-
-
-# Cognitive event kinds. NESTING kinds score 1 + depth, FLAT kinds score 1.
+# Event kinds, one per decision construct the body walker meets. CC counts
+# the CC kinds; CoCo scores NESTING kinds 1 + depth, FLAT kinds 1, and the
+# rest (case, bool_op) 0.
 EVENT_IF = "if"
 EVENT_LOOP = "loop"
 EVENT_SWITCH = "switch"
+EVENT_CASE = "case"
 EVENT_CATCH = "catch"
 EVENT_TERNARY = "ternary"
 EVENT_ELSE_IF = "else_if"
 EVENT_ELSE = "else"
-EVENT_BOOL_RUN = "bool_run"
+EVENT_BOOL_RUN = "bool_run"  # `&&`/`||` that starts a run of one operator
+EVENT_BOOL_OP = "bool_op"  # `&&`/`||` that continues the run
 EVENT_RECURSION = "recursion"
 
+CC_EVENT_KINDS = frozenset(
+    {EVENT_IF, EVENT_ELSE_IF, EVENT_LOOP, EVENT_CASE, EVENT_CATCH,
+     EVENT_TERNARY, EVENT_BOOL_RUN, EVENT_BOOL_OP}
+)
 NESTING_EVENT_KINDS = frozenset(
     {EVENT_IF, EVENT_LOOP, EVENT_SWITCH, EVENT_CATCH, EVENT_TERNARY}
 )
@@ -57,7 +47,7 @@ FLAT_EVENT_KINDS = frozenset(
     {EVENT_ELSE_IF, EVENT_ELSE, EVENT_BOOL_RUN, EVENT_RECURSION}
 )
 
-CognitiveEvent = Tuple[str, int]  # (kind, structural nesting depth)
+Event = Tuple[str, int]  # (kind, structural nesting depth)
 
 
 @dataclass
@@ -66,8 +56,7 @@ class MethodView:
     is_static: bool
     parameter_types: List[str]
     accessed_attributes: Set[str]
-    decision_profile: DecisionProfile
-    cognitive_events: List[CognitiveEvent]
+    events: List[Event]  # in source order
 
 
 @dataclass

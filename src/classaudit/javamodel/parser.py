@@ -7,11 +7,11 @@ become independent units: their members are excluded from the enclosing
 class, while the enclosing line span still covers their text.
 """
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
-from .model import AttributeDecl, DecisionProfile, MethodView, SourceClass
+from .model import AttributeDecl, Event, MethodView, SourceClass
 from .tokens import IDENT, MODIFIER_WORDS, Token, tokenize
 
 _TYPE_KEYWORDS = ("class", "interface", "enum")
@@ -127,26 +127,19 @@ class _UnitParser:
                     i += 1
                 i += 1
                 continue
-            i = self._scan_region(i, self.n, self.package, units, decl_start=None)
+            i = self._scan_region(i, self.package, units)
         return units
 
-    def _scan_region(
-        self,
-        i: int,
-        end: int,
-        prefix: str,
-        units: List[SourceClass],
-        decl_start: Optional[int],
-    ) -> int:
-        """Handle one construct starting at i inside [i, end); returns the
-        index after it. Collects class units found anywhere inside."""
+    def _scan_region(self, i: int, prefix: str, units: List[SourceClass]) -> int:
+        """Handle one construct starting at i; returns the index after it.
+        Collects class units found anywhere inside."""
         t = self.txt(i)
         if t == "@":
             return self.skip_annotation(i)
         if t in MODIFIER_WORDS:
             return i + 1
         if t in _TYPE_KEYWORDS or self._is_record_decl(i):
-            return self._parse_type_decl(i, prefix, units, decl_start if decl_start is not None else i)
+            return self._parse_type_decl(i, prefix, units, i)
         if t == "{":
             close = self.matching_brace(i)
             self._scan_nested_types(i + 1, close, prefix, units)
@@ -246,6 +239,7 @@ class _UnitParser:
         first_line: int,
     ) -> SourceClass:
         attributes: List[AttributeDecl] = []
+        attr_names: Set[str] = set()
         nested: List[SourceClass] = []
         raw_methods: List[Tuple[str, bool, List[str], List[str], Tuple[int, int]]] = []
         has_static = False
@@ -292,7 +286,8 @@ class _UnitParser:
                 if is_static:
                     has_static = True
                 for fname in param_types:  # declarator names for fields
-                    if fname not in {a.name for a in attributes}:
+                    if fname not in attr_names:
+                        attr_names.add(fname)
                         attributes.append(AttributeDecl(fname, is_static))
             elif kind_ == "method":
                 if "static" in mods:
@@ -300,26 +295,21 @@ class _UnitParser:
                 raw_methods.append((mname, "static" in mods, param_types, param_names, body_span))
             # constructors contribute nothing
 
-        attr_names = {a.name for a in attributes}
         methods: List[MethodView] = []
         for mname, is_static, ptypes, pnames, body_span in raw_methods:
             if body_span == (0, 0):
                 accessed: Set[str] = set()
-                profile = DecisionProfile()
-                events: List[Tuple[str, int]] = []
+                events: List[Event] = []
             else:
                 body_tokens = self.toks[body_span[0]:body_span[1]]
-                accessed, profile, events = analyze_body(
-                    body_tokens, attr_names, pnames, mname
-                )
+                accessed, events = analyze_body(body_tokens, attr_names, pnames, mname)
             methods.append(
                 MethodView(
                     name=mname,
                     is_static=is_static,
                     parameter_types=ptypes,
                     accessed_attributes=accessed & attr_names,
-                    decision_profile=profile,
-                    cognitive_events=events,
+                    events=events,
                 )
             )
 
@@ -485,12 +475,7 @@ class _UnitParser:
             trailing += 1
             k -= 2
         if self.kind(k) != IDENT or k == i:
-            # degenerate (no type, or not a name) — e.g. receiver `this`
-            if self.kind(k) == IDENT and self.txt(k) == "this":
-                return None
-            if k == i and self.kind(k) == IDENT:
-                return None
-            return None
+            return None  # degenerate: no type, or not a name
         name = self.txt(k)
         if name == "this":
             return None

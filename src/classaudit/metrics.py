@@ -10,11 +10,13 @@ Six quantities per class, constructors excluded throughout:
   least one parameter of type j. Higher means more cohesive; undefined when
   k < 2 or l = 0.
 * Total cyclomatic complexity: 1 per method plus one per decision point
-  (if, loop, case label, catch, ternary, short-circuit operator). On
+  (if, loop, case label, catch, ternary, short-circuit operator), that is,
+  1 plus the method's events whose kind is in ``CC_EVENT_KINDS``. On
   structured control flow this equals E - N + 2 of the per-method graph
   with compound predicates decomposed.
-* Cognitive complexity total / average / min / max over methods, using the
-  nesting-penalty rule set documented in `javamodel.body`.
+* Cognitive complexity total / average / min / max over methods: a fold
+  over the same events, scoring nesting kinds 1 + depth and flat kinds 1,
+  with the nesting convention documented in `javamodel.body`.
 
 Undefined is a value here (None), never an error; dropping such classes is
 the pipeline's job.
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .javamodel.model import (
+    CC_EVENT_KINDS,
     FLAT_EVENT_KINDS,
     MethodView,
     NESTING_EVENT_KINDS,
@@ -85,12 +88,12 @@ def _distinct_parameter_types(cls: SourceClass):
 
 
 def method_cc(method: MethodView) -> int:
-    return 1 + method.decision_profile.total()
+    return 1 + sum(1 for kind, _ in method.events if kind in CC_EVENT_KINDS)
 
 
 def method_coco(method: MethodView) -> int:
     score = 0
-    for kind, depth in method.cognitive_events:
+    for kind, depth in method.events:
         if kind in NESTING_EVENT_KINDS:
             score += 1 + depth
         elif kind in FLAT_EVENT_KINDS:

@@ -88,9 +88,10 @@ def ingest_sources(
 ) -> Iterator[ClassRecord]:
     """Parse every .java file under the roots into ClassRecords.
 
-    Unreadable roots raise OSError (fatal); per-file parse failures are
-    tallied in diagnostics and skipped. Traversal order is sorted, so the
-    record stream is deterministic.
+    Unreadable roots raise OSError (fatal); per-file parse failures, and
+    files nested too deeply for the recursive walk, are tallied in
+    diagnostics and skipped. Traversal order is sorted, so the record stream
+    is deterministic.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     for root in roots:
@@ -112,6 +113,9 @@ def ingest_sources(
                     continue
                 except (OSError, UnicodeDecodeError) as exc:
                     diag.skip(path, 0, str(exc))
+                    continue
+                except RecursionError:
+                    diag.skip(path, 0, "nesting too deep")
                     continue
                 for cls in _flatten(classes):
                     label = classify(cls.name, cls.has_static_member, rules, excluded_to)

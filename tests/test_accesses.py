@@ -5,7 +5,7 @@ from classaudit.javamodel import analyze_body, tokenize
 
 def accesses(body, attrs, params=(), method="m"):
     toks = tokenize("{" + body + "}")[1:-1]
-    found, _, _ = analyze_body(toks, set(attrs), list(params), method)
+    found, _ = analyze_body(toks, set(attrs), list(params), method)
     return found
 
 

@@ -1,38 +1,40 @@
-"""Decision profiles and cognitive events from method bodies."""
+"""Decision events from method bodies."""
+
+from collections import Counter
 
 from classaudit.javamodel import analyze_body, tokenize
 
 
 def analyze(body, attrs=(), params=(), method="m"):
     toks = tokenize("{" + body + "}")[1:-1]
-    _, profile, events = analyze_body(toks, set(attrs), list(params), method)
-    return profile, events
+    _, events = analyze_body(toks, set(attrs), list(params), method)
+    return Counter(kind for kind, _ in events), events
 
 
 def test_straight_line_body():
-    profile, events = analyze("a = 1; b = f(a);")
-    assert profile.total() == 0
+    kinds, events = analyze("a = 1; b = f(a);")
+    assert not kinds
     assert events == []
 
 
 def test_if_with_short_circuit():
-    profile, events = analyze("if (a && b) { }")
-    assert profile.if_count == 1
-    assert profile.short_circuit_count == 1
+    kinds, events = analyze("if (a && b) { }")
+    assert kinds["if"] == 1
+    assert kinds["bool_run"] + kinds["bool_op"] == 1
     assert ("if", 0) in events
     assert ("bool_run", 0) in events
 
 
 def test_if_inside_for():
-    profile, events = analyze("for (int i = 0; i < n; i++) { if (c) { } }", params=["n", "c"])
-    assert profile.loop_count == 1
-    assert profile.if_count == 1
+    kinds, events = analyze("for (int i = 0; i < n; i++) { if (c) { } }", params=["n", "c"])
+    assert kinds["loop"] == 1
+    assert kinds["if"] == 1
     assert events == [("loop", 0), ("if", 1)]
 
 
 def test_else_if_chain_counts_every_if_but_flattens_events():
-    profile, events = analyze("if (a) {} else if (b) {} else {}")
-    assert profile.if_count == 2
+    kinds, events = analyze("if (a) {} else if (b) {} else {}")
+    assert kinds["if"] + kinds["else_if"] == 2
     assert events == [("if", 0), ("else_if", 0), ("else", 0)]
 
 
@@ -43,57 +45,57 @@ def test_nesting_depth_if_for_for_if():
 
 
 def test_do_while_tail_not_double_counted():
-    profile, events = analyze("do { x++; } while (x > 0);", attrs=["x"])
-    assert profile.loop_count == 1
+    kinds, events = analyze("do { x++; } while (x > 0);", attrs=["x"])
+    assert kinds["loop"] == 1
     assert events == [("loop", 0)]
 
 
 def test_braceless_do_while():
-    profile, _ = analyze("do x++; while (x > 0);", attrs=["x"])
-    assert profile.loop_count == 1
+    kinds, _ = analyze("do x++; while (x > 0);", attrs=["x"])
+    assert kinds["loop"] == 1
 
 
 def test_while_true_counts_as_loop():
-    profile, _ = analyze("while (true) { step(); }")
-    assert profile.loop_count == 1
+    kinds, _ = analyze("while (true) { step(); }")
+    assert kinds["loop"] == 1
 
 
 def test_switch_cases_count_for_cc_not_coco():
     body = "switch (t) { case 1: a(); break; case 2: b(); break; default: c(); }"
-    profile, events = analyze(body, params=["t"])
-    assert profile.case_count == 2
-    assert events == [("switch", 0)]
+    kinds, events = analyze(body, params=["t"])
+    assert kinds["case"] == 2
+    assert events == [("switch", 0), ("case", 0), ("case", 0)]
 
 
 def test_switch_arrow_form():
     body = "switch (t) { case 1 -> a(); case 2 -> { b(); } default -> c(); }"
-    profile, events = analyze(body, params=["t"])
-    assert profile.case_count == 2
-    assert events == [("switch", 0)]
+    kinds, events = analyze(body, params=["t"])
+    assert kinds["case"] == 2
+    assert events == [("switch", 0), ("case", 0), ("case", 0)]
 
 
 def test_multi_label_case_counts_once():
-    profile, _ = analyze("switch (t) { case 1, 2: a(); }", params=["t"])
-    assert profile.case_count == 1
+    kinds, _ = analyze("switch (t) { case 1, 2: a(); }", params=["t"])
+    assert kinds["case"] == 1
 
 
 def test_statements_inside_switch_nest():
     body = "switch (t) { case 1: if (a) { } break; }"
     _, events = analyze(body, params=["t"])
-    assert events == [("switch", 0), ("if", 1)]
+    assert events == [("switch", 0), ("case", 0), ("if", 1)]
 
 
 def test_catch_clauses_count_each():
     body = "try { f(); } catch (A e) { } catch (B e) { } finally { g(); }"
-    profile, events = analyze(body)
-    assert profile.catch_count == 2
+    kinds, events = analyze(body)
+    assert kinds["catch"] == 2
     assert events == [("catch", 0), ("catch", 0)]
 
 
 def test_multi_catch_is_one_clause():
-    profile, _ = analyze("try { f(); } catch (A | B e) { }")
-    assert profile.catch_count == 1
-    assert profile.short_circuit_count == 0  # single '|' is not short-circuit
+    kinds, _ = analyze("try { f(); } catch (A | B e) { }")
+    assert kinds["catch"] == 1
+    assert kinds["bool_run"] + kinds["bool_op"] == 0  # single '|' is not short-circuit
 
 
 def test_try_block_does_not_nest_but_catch_body_does():
@@ -103,14 +105,14 @@ def test_try_block_does_not_nest_but_catch_body_does():
 
 
 def test_ternary_counts_and_nests():
-    profile, events = analyze("r = a ? 1 : b ? 2 : 3;")
-    assert profile.ternary_count == 2
+    kinds, events = analyze("r = a ? 1 : b ? 2 : 3;")
+    assert kinds["ternary"] == 2
     assert events == [("ternary", 0), ("ternary", 1)]
 
 
 def test_generic_wildcard_is_not_a_ternary():
-    profile, _ = analyze("Map<?, ? extends Foo> m = get();")
-    assert profile.ternary_count == 0
+    kinds, _ = analyze("Map<?, ? extends Foo> m = get();")
+    assert kinds["ternary"] == 0
 
 
 def test_boolean_runs_alternation():
@@ -138,8 +140,9 @@ def test_boolean_run_inside_call_arguments_are_separate():
 
 
 def test_short_circuit_token_count_is_raw():
-    profile, _ = analyze("if (a && b && c) { }")
-    assert profile.short_circuit_count == 2
+    kinds, events = analyze("if (a && b && c) { }")
+    assert kinds["bool_run"] + kinds["bool_op"] == 2
+    assert events == [("if", 0), ("bool_run", 0), ("bool_op", 0)]
 
 
 def test_direct_recursion_event():
@@ -185,5 +188,5 @@ def test_nested_events_strictly_deeper():
 
 
 def test_labeled_statement_parses():
-    profile, _ = analyze("outer: for (int i = 0; i < 3; i++) { continue outer; }")
-    assert profile.loop_count == 1
+    kinds, _ = analyze("outer: for (int i = 0; i < 3; i++) { continue outer; }")
+    assert kinds["loop"] == 1

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classaudit.javamodel import parse_compilation_unit
-from classaudit.javamodel.model import (
-    AttributeDecl,
-    DecisionProfile,
-    MethodView,
-    SourceClass,
-)
+from classaudit.javamodel.model import AttributeDecl, MethodView, SourceClass
 from classaudit.metrics import class_metrics, lcom5, method_cc, method_coco, nhd
 
 
@@ -25,8 +20,7 @@ def make_class(n_attrs, accesses, param_types=None):
             is_static=False,
             parameter_types=list(types),
             accessed_attributes={f"a{j}" for j in used},
-            decision_profile=DecisionProfile(),
-            cognitive_events=[],
+            events=[],
         )
         for i, (used, types) in enumerate(zip(accesses, param_types))
     ]
@@ -94,12 +88,11 @@ def test_nhd_duplicate_types_in_one_method_count_once():
 
 # ---- CC / CoCo --------------------------------------------------------------
 
-def method_with(profile=None, events=None):
+def method_with(events=None):
     return MethodView(
         name="m", is_static=False, parameter_types=[],
         accessed_attributes=set(),
-        decision_profile=profile or DecisionProfile(),
-        cognitive_events=events or [],
+        events=events or [],
     )
 
 
@@ -108,12 +101,23 @@ def test_method_cc_straight_line():
 
 
 def test_method_cc_one_if():
-    assert method_cc(method_with(DecisionProfile(if_count=1))) == 2
+    assert method_cc(method_with([("if", 0)])) == 2
 
 
 def test_method_cc_compound():
-    profile = DecisionProfile(if_count=1, loop_count=1, short_circuit_count=1)
-    assert method_cc(profile and method_with(profile)) == 4
+    events = [("loop", 0), ("if", 1), ("bool_run", 1)]
+    assert method_cc(method_with(events)) == 4
+
+
+def test_method_cc_counts_every_decision_kind_once_regardless_of_depth():
+    events = [("if", 3), ("else_if", 3), ("loop", 0), ("case", 1), ("catch", 2),
+              ("ternary", 4), ("bool_run", 0), ("bool_op", 5)]
+    assert method_cc(method_with(events)) == 1 + 8
+
+
+def test_method_cc_ignores_switch_else_and_recursion():
+    events = [("switch", 0), ("else", 1), ("recursion", 2)]
+    assert method_cc(method_with(events)) == 1
 
 
 def test_method_coco_straight_line():
@@ -134,12 +138,17 @@ def test_method_coco_flat_kinds_score_one():
     assert method_coco(method_with(events=events)) == 4
 
 
+def test_method_coco_case_and_continued_operator_score_zero():
+    events = [("switch", 1), ("case", 1), ("case", 1), ("bool_run", 0), ("bool_op", 0)]
+    assert method_coco(method_with(events=events)) == 2 + 1
+
+
 # ---- class_metrics ------------------------------------------------------------
 
 def test_class_metrics_aggregation():
     cls = make_class(1, [{0}, {0}])
-    cls.methods[0].cognitive_events = []
-    cls.methods[1].cognitive_events = [("if", 0), ("loop", 1)]
+    cls.methods[0].events = []
+    cls.methods[1].events = [("if", 0), ("loop", 1)]
     m = class_metrics(cls)
     assert m.coco_total == 3
     assert m.coco_avg == 1.5
@@ -231,18 +240,13 @@ def test_classmetrics_invariants_hold_on_every_fixture(metrics_dir, corpus_dir):
                     assert abs(m.coco_avg * m.k - m.coco_total) <= 1e-9
 
 
-def test_op_wrappers_match_analyze_body():
-    from classaudit.javamodel import (
-        build_decision_profile,
-        extract_attribute_accesses,
-        tokenize,
-    )
+def test_analyze_body_reports_accesses_and_events():
+    from classaudit.javamodel import analyze_body, tokenize
 
     toks = tokenize("if (a && b) { x = 1; } int y = 0; y++;")
-    assert extract_attribute_accesses(toks, {"x", "y"}) == {"x"}
-    profile, events = build_decision_profile(toks)
-    assert profile.if_count == 1 and profile.short_circuit_count == 1
-    assert ("if", 0) in events
+    accessed, events = analyze_body(toks, {"x", "y"}, (), "")
+    assert accessed == {"x"}
+    assert events == [("if", 0), ("bool_run", 0)]
 
 
 def test_metrics_invariant_under_renaming_and_reformatting():

@@ -131,7 +131,7 @@ def test_abstract_method_counts_with_empty_body():
     code = "abstract class A { abstract int f(int x); }"
     a = parse(code)[0]
     assert [m.name for m in a.methods] == ["f"]
-    assert a.methods[0].decision_profile.total() == 0
+    assert a.methods[0].events == []
 
 
 def test_generic_method_declaration():

@@ -1,6 +1,8 @@
 """Ingestion, quantile filtering, and aggregation."""
 
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -221,6 +223,31 @@ def test_ingest_isolates_malformed_files(tmp_path):
     assert [r.qualified_name for r in records] == ["Good"]
     assert diag.skipped == 1
     assert any(line.startswith("SKIP") and "Bad.java" in line for line in diag.lines)
+
+
+@pytest.mark.parametrize("body", [
+    "if (v > 0) { " * 300 + "v--;" + " }" * 300,
+    "v = " + "(" * 1000 + "1" + ")" * 1000 + ";",
+], ids=["if_depth_300", "paren_depth_1000"])
+def test_ingest_skips_file_nested_too_deep(tmp_path, body):
+    good_src = "class Good { int x; void f() { x = 1; } void g() { x = 2; } }"
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "Good.java").write_text(good_src)
+    expected = list(ingest_sources([alone]))
+
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "Good.java").write_text(good_src)
+    deep = mixed / "Deep.java"
+    deep.write_text("class Deep { int x; void f(int v) { " + body + " } }")
+    diag = Diagnostics()
+    records = list(ingest_sources([mixed], diagnostics=diag))
+    assert diag.lines == [f"SKIP {deep}:0 nesting too deep"]
+    assert diag.skipped == 1
+    assert [replace(r, origin=os.path.basename(r.origin)) for r in records] == [
+        replace(r, origin=os.path.basename(r.origin)) for r in expected
+    ]
 
 
 def test_ingest_missing_root_fatal(tmp_path):

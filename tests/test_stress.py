@@ -5,6 +5,7 @@ classes, labeled jumps, static/instance initializers, generic methods,
 enum constant bodies, and classes nested in enums. Expected numbers were
 worked out by hand from the source."""
 
+from collections import Counter
 from pathlib import Path
 
 from classaudit.javamodel import parse_compilation_unit
@@ -44,13 +45,13 @@ def test_kitchen_sink_members():
 def test_churn_profile_hand_counted():
     ks = parse_compilation_unit(SRC)[0]
     churn = next(m for m in ks.methods if m.name == "churn")
-    p = churn.decision_profile
-    assert p.if_count == 3          # if, else-if, if-in-lambda
-    assert p.loop_count == 4        # for, while, do, for-in-lambda
-    assert p.case_count == 3        # `case 1, 2` counts once; defaults never
-    assert p.catch_count == 2
-    assert p.ternary_count == 2     # instanceof-guard ternary + return ternary
-    assert p.short_circuit_count == 3
+    kinds = Counter(kind for kind, _ in churn.events)
+    assert kinds["if"] + kinds["else_if"] == 3      # if, else-if, if-in-lambda
+    assert kinds["loop"] == 4       # for, while, do, for-in-lambda
+    assert kinds["case"] == 3       # `case 1, 2` counts once; defaults never
+    assert kinds["catch"] == 2
+    assert kinds["ternary"] == 2    # instanceof-guard ternary + return ternary
+    assert kinds["bool_run"] + kinds["bool_op"] == 3
     assert method_cc(churn) == 18
     assert method_coco(churn) == 26
     assert churn.accessed_attributes == {"armed", "counter"}
