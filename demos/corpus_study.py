@@ -2,17 +2,20 @@
 aggregate, render tables, and emit bar charts.
 
 Run:  python demos/corpus_study.py [output_dir]
+
+Without an output_dir the charts go to a temporary directory that is
+removed when the demo ends.
 """
 
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from classaudit import aggregate_groups, emit_chart_data, filter_records, render_tables
 from classaudit.pipeline import Diagnostics, ingest_sources
 
 corpus = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "corpus" / "src"
-out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="classaudit_charts_")
 
 diag = Diagnostics()
 records = list(ingest_sources([corpus], diagnostics=diag))
@@ -37,7 +40,10 @@ print(f"filter: kept {outcome.output_count} of {outcome.input_count} "
 summaries = aggregate_groups(outcome.kept)
 print(render_tables(summaries, format="text", pipeline=outcome, skipped=diag.skipped))
 
-written = emit_chart_data(summaries, out_dir)
-print(f"wrote {len(written)} chart files to {out_dir}:")
-for path in written:
-    print(f"  {path}")
+charts_dir = (nullcontext(sys.argv[1]) if len(sys.argv) > 1
+              else tempfile.TemporaryDirectory(prefix="classaudit_charts_"))
+with charts_dir as out_dir:
+    written = emit_chart_data(summaries, out_dir)
+    print(f"wrote {len(written)} chart files to {out_dir}:")
+    for path in written:
+        print(f"  {path}")

@@ -21,6 +21,10 @@ body is depth 0; bodies of if/else branches, loops, switch blocks, catch
 blocks, ternary branch operands, lambda bodies and anonymous/local class
 bodies are one deeper. ``try``/``finally`` blocks, plain ``{}`` blocks, and
 control-clause expressions stay at the construct's own depth.
+
+The walker pairs the body's own brackets once (``match_brackets`` on the
+body slice, so a ``(`` left open inside the body stays unpaired there) and
+jumps over parenthesized groups by that table instead of rescanning them.
 """
 
 from typing import List, Optional, Sequence, Set, Tuple
@@ -39,7 +43,7 @@ from .model import (
     EVENT_TERNARY,
     Event,
 )
-from .tokens import IDENT, PRIMITIVE_TYPES, Token
+from .tokens import IDENT, PRIMITIVE_TYPES, Token, match_brackets
 
 _DECL_HEAD_SKIP = frozenset({"final"})
 # Identifier may not be an access when directly preceded by one of these.
@@ -63,6 +67,7 @@ class _BodyWalker:
     def __init__(self, tokens, attr_names, param_names, method_name):
         self.toks = list(tokens)
         self.n = len(self.toks)
+        self.match = match_brackets(self.toks)
         self.i = 0
         self.attrs = set(attr_names)
         self.method_name = method_name
@@ -216,7 +221,7 @@ class _BodyWalker:
             if self.kind() == IDENT:
                 self.eat()
             if self.txt() == "(":
-                self.skip_balanced("(", ")")
+                self.skip_parens()
             return
         if self.kind() == IDENT and self.txt(1) == ":" and self.txt(2) != ":":
             # statement label such as `outer:`
@@ -344,7 +349,7 @@ class _BodyWalker:
         """Local class/interface/enum/record: body is a nested region."""
         while self.cur() is not None and self.txt() != "{":
             if self.txt() == "(":  # record header
-                self.skip_balanced("(", ")")
+                self.skip_parens()
                 continue
             self.eat()
         if self.eat_if("{"):
@@ -474,7 +479,7 @@ class _BodyWalker:
     def _try_lambda_params(self, depth: int, stop: Set[str]) -> bool:
         """At '(': if the parenthesized group is a lambda parameter list,
         consume it plus the body and return True."""
-        close = self._matching_paren(self.i)
+        close = self.match[self.i]
         if close < 0 or close + 1 >= self.n or self.toks[close + 1].text != "->":
             return False
         params = []
@@ -499,25 +504,12 @@ class _BodyWalker:
                 seg_last_ident = tok.text
         if seg_last_ident:
             params.append(seg_last_ident)
-        self.i = close + 1
-        self.last = self.toks[close]
+        self.skip_parens()
         self.eat()  # '->'
         self.push_scope(params)
         self._lambda_body(depth, stop)
         self.pop_scope()
         return True
-
-    def _matching_paren(self, start: int) -> int:
-        level = 0
-        for j in range(start, self.n):
-            t = self.toks[j].text
-            if t == "(":
-                level += 1
-            elif t == ")":
-                level -= 1
-                if level == 0:
-                    return j
-        return -1
 
     def _is_wildcard(self) -> bool:
         prev = self.last.text if self.last is not None else ""
@@ -557,7 +549,7 @@ class _BodyWalker:
             if self.kind() == IDENT:
                 self.eat()
             if self.txt() == "(":
-                self.skip_balanced("(", ")")
+                self.skip_parens()
         ok = self._scan_type()
         if ok and self.kind() == IDENT and self.txt() not in PRIMITIVE_TYPES:
             name = self.txt()
@@ -634,21 +626,14 @@ class _BodyWalker:
 
     # ---- misc ---------------------------------------------------------------
 
-    def skip_balanced(self, open_text: str, close_text: str):
-        if self.txt() != open_text:
-            return
-        level = 0
-        while self.cur() is not None:
-            t = self.txt()
-            if t == open_text:
-                level += 1
-            elif t == close_text:
-                level -= 1
-                self.eat()
-                if level == 0:
-                    return
-                continue
-            self.eat()
+    def skip_parens(self):
+        """At '(': move past its ')', which becomes `last` as if eaten; an
+        unpaired '(' runs to the end of the body."""
+        close = self.match[self.i]
+        if close < 0:
+            close = self.n - 1
+        self.i = close + 1
+        self.last = self.toks[close]
 
     def _record_decl_ahead(self) -> bool:
         return (
@@ -658,21 +643,18 @@ class _BodyWalker:
         )
 
     def _for_control_has_semicolon(self) -> bool:
-        """Distinguish classic from enhanced for by a top-level ';'."""
-        level_par = 0
-        level_brace = 0
-        for j in range(self.i, self.n):
+        """Classic for, not enhanced: a ';' before the ')' closing the
+        control, outside nested () and {} groups."""
+        close = self.match[self.i]
+        end = close if close >= 0 else self.n
+        j = self.i + 1
+        while j < end:
             t = self.toks[j].text
-            if t == "(":
-                level_par += 1
-            elif t == ")":
-                level_par -= 1
-                if level_par == 0:
-                    return False
-            elif t == "{":
-                level_brace += 1
-            elif t == "}":
-                level_brace -= 1
-            elif t == ";" and level_par == 1 and level_brace == 0:
+            if t == ";":
                 return True
+            if t in ("(", "{"):
+                if self.match[j] < 0:
+                    return False
+                j = self.match[j]
+            j += 1
         return False

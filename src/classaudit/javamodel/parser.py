@@ -5,6 +5,10 @@ declarations, separates fields from methods from constructors inside class
 bodies, and hands method bodies to the body analyzer. Nested named classes
 become independent units: their members are excluded from the enclosing
 class, while the enclosing line span still covers their text.
+
+Each file is tokenized, bracket-matched (``match_brackets``) and split into
+lines once; every class, method and parenthesis extent is a lookup in that
+table and every line count a slice of that list.
 """
 
 from typing import List, Sequence, Set, Tuple
@@ -12,14 +16,14 @@ from typing import List, Sequence, Set, Tuple
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
 from .model import AttributeDecl, Event, MethodView, SourceClass
-from .tokens import IDENT, MODIFIER_WORDS, Token, tokenize
+from .tokens import CLOSING, IDENT, MODIFIER_WORDS, Token, match_brackets, tokenize
 
 _TYPE_KEYWORDS = ("class", "interface", "enum")
 
 
-def count_loc_and_blank(source_text: str, line_span: Tuple[int, int]) -> Tuple[int, int]:
-    """Physical and blank line counts for a 1-based inclusive span."""
-    lines = source_text.splitlines()
+def count_loc_and_blank(lines: Sequence[str], line_span: Tuple[int, int]) -> Tuple[int, int]:
+    """Physical and blank line counts for a 1-based inclusive span of a
+    file's lines (split at ``\n`` only, as the tokenizer numbers them)."""
     first, last = line_span
     if first < 1 or last > max(len(lines), 1) or first > last:
         raise SpanOutOfBounds(f"span {line_span} outside file of {len(lines)} lines")
@@ -44,7 +48,10 @@ class _UnitParser:
     def __init__(self, tokens: Sequence[Token], source_text: str, file_id: str):
         self.toks = list(tokens)
         self.n = len(self.toks)
-        self.source_text = source_text
+        self.match = match_brackets(self.toks)
+        self.lines = source_text.split("\n")
+        if source_text.endswith("\n"):
+            self.lines.pop()
         self.file_id = file_id
         self.package = ""
 
@@ -62,25 +69,19 @@ class _UnitParser:
         j = min(max(i, 0), self.n - 1)
         return self.toks[j].line if self.n else 1
 
-    def matching_brace(self, i: int) -> int:
-        """Index of the '}' matching the '{' at i; ParseError if unbalanced."""
-        level = 0
-        for j in range(i, self.n):
-            t = self.toks[j].text
-            if t == "{":
-                level += 1
-            elif t == "}":
-                level -= 1
-                if level == 0:
-                    return j
-        raise ParseError(self.file_id, self.line(i), "unbalanced braces")
+    def close_of(self, i: int) -> int:
+        """Index of the bracket closing the one opened at i; ParseError at
+        the opener's line when it has none."""
+        j = self.match[i]
+        if j < 0:
+            t = self.txt(i)
+            raise ParseError(self.file_id, self.line(i), f"unbalanced {t}{CLOSING[t]}")
+        return j
 
     def skip_annotation(self, i: int) -> int:
         """i at '@': skip @Name or @Name(...). Returns next index."""
         i += 1
         while self.txt(i) == "." or self.kind(i) == IDENT:
-            if self.kind(i) != IDENT and self.txt(i) != ".":
-                break
             nxt = i + 1
             if self.kind(i) == IDENT and self.txt(nxt) == ".":
                 i = nxt + 1
@@ -90,21 +91,8 @@ class _UnitParser:
                 break
             i = nxt
         if self.txt(i) == "(":
-            i = self.skip_balanced(i, "(", ")")
+            i = self.close_of(i) + 1
         return i
-
-    def skip_balanced(self, i: int, open_text: str, close_text: str) -> int:
-        level = 0
-        while i < self.n:
-            t = self.txt(i)
-            if t == open_text:
-                level += 1
-            elif t == close_text:
-                level -= 1
-                if level == 0:
-                    return i + 1
-            i += 1
-        raise ParseError(self.file_id, self.line(i - 1), f"unbalanced {open_text}{close_text}")
 
     # ---- top level ----------------------------------------------------------
 
@@ -141,11 +129,11 @@ class _UnitParser:
         if t in _TYPE_KEYWORDS or self._is_record_decl(i):
             return self._parse_type_decl(i, prefix, units, i)
         if t == "{":
-            close = self.matching_brace(i)
+            close = self.close_of(i)
             self._scan_nested_types(i + 1, close, prefix, units)
             return close + 1
         if t == "(":
-            return self.skip_balanced(i, "(", ")")
+            return self.close_of(i) + 1
         return i + 1
 
     def _is_record_decl(self, i: int) -> bool:
@@ -164,16 +152,7 @@ class _UnitParser:
                 continue
             if prev == ")":
                 # possible annotation arguments: @Name(...)
-                k = j - 1
-                level = 0
-                while k >= 0:
-                    if self.txt(k) == ")":
-                        level += 1
-                    elif self.txt(k) == "(":
-                        level -= 1
-                        if level == 0:
-                            break
-                    k -= 1
+                k = self.match[j - 1]
                 if k - 2 >= 0 and self.txt(k - 2) == "@" and self.kind(k - 1) == IDENT:
                     j = k - 2
                     continue
@@ -192,7 +171,7 @@ class _UnitParser:
         # skip type parameters / record header / extends-implements-permits
         while j < self.n and self.txt(j) != "{":
             if self.txt(j) == "(":
-                j = self.skip_balanced(j, "(", ")")
+                j = self.close_of(j) + 1
                 continue
             if self.txt(j) == ";":  # bodyless declaration
                 return j + 1
@@ -200,7 +179,7 @@ class _UnitParser:
         if j >= self.n:
             raise ParseError(self.file_id, self.line(i), f"missing body for {keyword} {name}")
         body_open = j
-        body_close = self.matching_brace(body_open)
+        body_close = self.close_of(body_open)
         qualified = f"{prefix}.{name}" if prefix else name
         if keyword == "class" and not is_annotation_decl:
             first_line = self.line(self._decl_first_index(decl_start))
@@ -222,7 +201,7 @@ class _UnitParser:
                 i = self._parse_type_decl(i, prefix, units, self._decl_first_index(i))
                 continue
             if t == "{":
-                close = self.matching_brace(i)
+                close = self.close_of(i)
                 self._scan_nested_types(i + 1, close, prefix, units)
                 i = close + 1
                 continue
@@ -267,7 +246,7 @@ class _UnitParser:
             if i >= body_close:
                 break
             if t == "{":  # initializer block (static or instance)
-                i = self.skip_balanced(i, "{", "}")
+                i = self.close_of(i) + 1
                 continue
             if t in _TYPE_KEYWORDS or self._is_record_decl(i) or (
                 t == "@" and self.txt(i, 1) == "interface"
@@ -314,7 +293,7 @@ class _UnitParser:
             )
 
         last_line = self.line(body_close)
-        loc, blank = count_loc_and_blank(self.source_text, (first_line, last_line))
+        loc, blank = count_loc_and_blank(self.lines, (first_line, last_line))
         return SourceClass(
             name=name,
             qualified_name=qualified,
@@ -413,17 +392,17 @@ class _UnitParser:
             return None
         mname = self.txt(name_idx)
         has_return_type = name_idx > head
-        params_close = self.skip_balanced(paren, "(", ")") - 1
+        params_close = self.close_of(paren)
         param_types, param_names = self._parse_params(paren + 1, params_close)
         # throws clause, then body or ';'
         i = params_close + 1
         while i < end and self.txt(i) not in ("{", ";"):
             if self.txt(i) == "(":
-                i = self.skip_balanced(i, "(", ")")
+                i = self.close_of(i) + 1
                 continue
             i += 1
         if self.txt(i) == "{":
-            body_close = self.matching_brace(i)
+            body_close = self.close_of(i)
             body_span = (i + 1, body_close)
             nxt = body_close + 1
         else:

@@ -7,9 +7,13 @@ the structural passes. Generic angle brackets are emitted as single ``<``
 and ``>`` tokens (never ``>>``), which keeps nested type arguments
 balanced; the shift operators nothing downstream cares about are simply
 split.
+
+``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
+in one pass, so the structural passes find the extent of a group by one
+lookup instead of rescanning from its opener.
 """
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Sequence
 
 from ..errors import ParseError
 
@@ -51,6 +55,10 @@ _TWO_CHAR_OPS = frozenset(
 )
 
 _IDENT_EXTRA = "_$"
+
+CLOSING = {"(": ")", "[": "]", "{": "}"}
+_OPENING = {close: open_ for open_, close in CLOSING.items()}
+_BRACKETS = frozenset(CLOSING) | frozenset(_OPENING)
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -162,3 +170,28 @@ def tokenize(text: str, file_id: str = "<memory>") -> List[Token]:
         tokens.append(Token(OP, ch, line))
         i += 1
     return tokens
+
+
+def match_brackets(tokens: Sequence[Token]) -> List[int]:
+    """Index of each bracket token's partner; -1 for unpaired brackets and
+    for every other token.
+
+    Each kind is paired on its own stack, so a closer pairs with the nearest
+    open bracket of its kind whatever other kinds lie between, and a closer
+    with no open bracket of its kind is left unpaired.
+    """
+    partner = [-1] * len(tokens)
+    open_at = {open_: [] for open_ in CLOSING}
+    for i, tok in enumerate(tokens):
+        t = tok.text
+        if t not in _BRACKETS:
+            continue
+        if t in open_at:
+            open_at[t].append(i)
+            continue
+        stack = open_at[_OPENING[t]]
+        if stack:
+            j = stack.pop()
+            partner[i] = j
+            partner[j] = i
+    return partner

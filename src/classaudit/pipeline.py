@@ -170,7 +170,8 @@ def ingest_cam_csv(
 ) -> Iterator[ClassRecord]:
     """One record per CSV row; empty metric cells become undefined metrics.
 
-    Rows with a missing/garbled name or size cells are tallied and skipped;
+    Rows with a missing name or size cell, a non-numeric metric cell, or a
+    count cell that is not a finite whole number are tallied and skipped;
     a metric column absent from the header is fatal (MissingColumn).
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
@@ -209,26 +210,26 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     if not name:
         raise RowParseError("empty class name")
     simple = name.rsplit(".", 1)[-1].rsplit("$", 1)[-1]
-    loc = _cell_int(row, column_map["loc"], required=True)
-    blank = _cell_int(row, column_map["blank"], required=True)
+    loc = _cell_count(row, column_map["loc"], required=True)
+    blank = _cell_count(row, column_map["blank"], required=True)
     lcom5_v = _cell_float(row, column_map["lcom5"])
     nhd_v = _cell_float(row, column_map["nhd"])
-    cc_v = _cell_float(row, column_map["cc"])
-    coco_v = _cell_float(row, column_map["coco"])
+    cc_v = _cell_count(row, column_map["cc"])
+    coco_v = _cell_count(row, column_map["coco"])
     acoco_v = _cell_float(row, column_map["acoco"])
-    mxcoco_v = _cell_float(row, column_map["mxcoco"])
-    mncoco_v = _cell_float(row, column_map["mncoco"])
+    mxcoco_v = _cell_count(row, column_map["mxcoco"])
+    mncoco_v = _cell_count(row, column_map["mncoco"])
     has_static = False
     if static_col is not None:
         has_static = _truthy(row.get(static_col, ""))
     metrics = ClassMetrics(
         lcom5=lcom5_v,
         nhd=nhd_v,
-        cc_total=_as_count(cc_v),
-        coco_total=_as_count(coco_v),
+        cc_total=cc_v or 0,
+        coco_total=coco_v or 0,
         coco_avg=acoco_v,
-        coco_min=_as_count(mncoco_v) if mncoco_v is not None else None,
-        coco_max=_as_count(mxcoco_v) if mxcoco_v is not None else None,
+        coco_min=mncoco_v,
+        coco_max=mxcoco_v,
         k=0,
         l_attr=0,
         l_types=0,
@@ -255,22 +256,20 @@ def _cell_float(row, col) -> Optional[float]:
         raise RowParseError(f"bad numeric value {raw!r} in column {col!r}")
 
 
-def _cell_int(row, col, required=False) -> int:
+def _cell_count(row, col, required=False) -> Optional[int]:
+    """A whole-number cell ("3", "3.0", "3e2"); None when empty and optional."""
     raw = (row.get(col) or "").strip()
     if raw == "":
         if required:
             raise RowParseError(f"missing value in column {col!r}")
-        return 0
+        return None
     try:
-        return int(float(raw))
+        value = float(raw)
+        if value.is_integer():  # false for nan and inf too
+            return int(value)
     except ValueError:
-        raise RowParseError(f"bad integer value {raw!r} in column {col!r}")
-
-
-def _as_count(v: Optional[float]) -> int:
-    if v is None:
-        return 0
-    return int(v) if float(v).is_integer() else v  # keep fractional CSV values
+        pass
+    raise RowParseError(f"bad integer value {raw!r} in column {col!r}")
 
 
 def _truthy(raw: str) -> bool:

@@ -150,19 +150,27 @@ def test_line_span_and_loc(metrics_dir):
 
 
 def test_count_loc_and_blank_examples():
-    text = "class A {\n\nint x;\n  \nint y;\n}\n"
-    assert count_loc_and_blank(text, (1, 6)) == (6, 2)
-    assert count_loc_and_blank("class A {}", (1, 1)) == (1, 0)
+    lines = ["class A {", "", "int x;", "  ", "int y;", "}"]
+    assert count_loc_and_blank(lines, (1, 6)) == (6, 2)
+    assert count_loc_and_blank(["class A {}"], (1, 1)) == (1, 0)
     # mixed tabs/space-only lines, hand-counted
-    text = "a\n\t\nb\n   \t \nc\n"
-    assert count_loc_and_blank(text, (1, 5)) == (5, 2)
+    lines = ["a", "\t", "b", "   \t ", "c"]
+    assert count_loc_and_blank(lines, (1, 5)) == (5, 2)
 
 
 def test_count_loc_span_out_of_bounds():
     with pytest.raises(SpanOutOfBounds):
-        count_loc_and_blank("one\ntwo\n", (1, 3))
+        count_loc_and_blank(["one", "two"], (1, 3))
     with pytest.raises(SpanOutOfBounds):
-        count_loc_and_blank("one\ntwo\n", (0, 1))
+        count_loc_and_blank(["one", "two"], (0, 1))
+
+
+def test_form_feed_does_not_split_a_line():
+    # the tokenizer numbers lines by "\n" alone; a form-feed-only line is
+    # one blank line, not two
+    a = parse("class A {\n\x0c\nint x;\n}\n")[0]
+    assert a.line_span == (1, 4)
+    assert (a.loc, a.blank_lines) == (4, 1)
 
 
 def test_unbalanced_braces_raise_parse_error():

@@ -325,6 +325,28 @@ def test_cam_csv_missing_loc_is_row_error(tmp_path):
     assert diag.skipped == 1
 
 
+@pytest.mark.parametrize("key, cell", [
+    ("cc", "2.5"), ("cc", "nan"), ("loc", "inf"), ("blank", "1e400"),
+])
+def test_cam_csv_non_integral_count_cell_is_row_error(tmp_path, key, cell):
+    column = DEFAULT_CAM_COLUMN_MAP[key]
+    header = CSV_HEADER.strip().split(",")
+    bad = "a.B,0.5,0.7,3,4,2.0,3,1,100,10,false".split(",")
+    bad[header.index(column)] = cell
+    good = ["a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n",
+            "a.D,0.1,0.2,2.0,2,1.0,1,1,40,4,true\n"]
+    path = write_csv(tmp_path, [good[0], ",".join(bad) + "\n", good[1]])
+    diag = Diagnostics()
+    records = list(ingest_cam_csv(path, CSV_MAP, diagnostics=diag))
+    assert diag.lines == [f"SKIP {path}:3 bad integer value {cell!r} in column {column!r}"]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    expected = list(ingest_cam_csv(write_csv(alone, good), CSV_MAP))
+    assert [replace(r, origin="") for r in records] == [replace(r, origin="") for r in expected]
+    for r in records:
+        assert type(r.metrics.cc_total) is int and type(r.metrics.coco_total) is int
+
+
 def test_cam_csv_without_static_column_warns(tmp_path):
     header = "class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
     path = write_csv(tmp_path, ["a.B,0.5,0.7,3,4,2.0,3,1,100,10\n"], header=header)
