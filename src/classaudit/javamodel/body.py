@@ -65,7 +65,7 @@ def analyze_body(
 
 class _BodyWalker:
     def __init__(self, tokens, attr_names, param_names, method_name):
-        self.toks = list(tokens)
+        self.toks = tokens
         self.n = len(self.toks)
         self.match = match_brackets(self.toks)
         self.i = 0
@@ -317,9 +317,12 @@ class _BodyWalker:
             self.eat()
             self.push_scope()
             while self.cur() is not None and self.txt() != ")":
+                before = self.i
                 if not self.try_parse_declaration(depth, terminators=(";", ")")):
                     self.parse_expr({";", ")"}, depth)
                 self.eat_if(";")
+                if self.i == before:
+                    break  # a '}' ends the resource list unclosed
             self.eat_if(")")
         if self.eat_if("{"):
             self.parse_block(depth)  # try body does not nest

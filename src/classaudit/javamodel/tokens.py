@@ -8,11 +8,25 @@ and ``>`` tokens (never ``>>``), which keeps nested type arguments
 balanced; the shift operators nothing downstream cares about are simply
 split.
 
+The whole file is scanned once, by ``findall`` with one compiled pattern,
+and the token list is built from the result by ``map``/``zip``/``compress``,
+so no Python code runs per token. Each match skips blanks without a newline
+and comments that close on their own line, uncaptured, then captures one
+lexeme: a token, a ``\\n``, or a block comment spanning lines. A lexeme's
+line is one plus the newlines in the lexemes before it; newlines and
+comments are then dropped, and a token's kind comes from its first
+character. An unterminated comment, text block, string or char literal
+matches as one lexeme running to the end of the text, so it can only be the
+last lexeme, and checking that one finds it.
+
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
 in one pass, so the structural passes find the extent of a group by one
 lookup instead of rescanning from its opener.
 """
 
+import re
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, not_
 from typing import List, NamedTuple, Sequence
 
 from ..errors import ParseError
@@ -30,14 +44,6 @@ class Token(NamedTuple):
     line: int
 
 
-KEYWORDS = frozenset(
-    """abstract assert boolean break byte case catch char class const continue
-    default do double else enum extends final finally float for goto if
-    implements import instanceof int interface long native new package
-    private protected public return short static strictfp super switch
-    synchronized this throw throws transient try void volatile while""".split()
-)
-
 MODIFIER_WORDS = frozenset(
     """public protected private static final abstract synchronized native
     strictfp transient volatile default sealed""".split()
@@ -49,127 +55,83 @@ PRIMITIVE_TYPES = frozenset(
 
 # Multi-char operators that matter downstream. '>>'/'<<' are intentionally
 # absent so generics stay balanced.
-_TWO_CHAR_OPS = frozenset(
-    ["&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
-     "%=", "&=", "|=", "^=", "->", "::", "++", "--"]
-)
+_TWO_CHAR_OPS = ("&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
+                 "%=", "&=", "|=", "^=", "->", "::", "++", "--")
 
-_IDENT_EXTRA = "_$"
+# Blanks other than '\n', a line comment, a block comment closed on its line.
+_SKIP = r"(?:[^\S\n]++|//[^\n]*+|/\*[^\n]*?\*/)"
+# An unclosed comment, text block or literal takes the (?s:.*) branch and
+# runs to the end of the text.
+_LEXEME = re.compile(
+    _SKIP + r"""*+(
+        \n
+      | /\*(?s:.*?\*/|.*)                        # block comment spanning lines
+      | \"\"\"(?s:.*?\"\"\"|.*)                  # text block
+      | "(?:[^"\\\n]|\\(?s:.))*+(?:"|(?s:.*))    # string literal
+      | '(?:[^'\\\n]|\\(?s:.))*+(?:'|(?s:.*))    # char literal
+      | \d(?:\w|\.(?=\d))*+                      # number
+      | (?:[^\W\d]|\$)[\w$]*+                    # identifier
+      | \.\.\.
+      | """ + "|".join(map(re.escape, _TWO_CHAR_OPS)) + r"""
+      | \S
+    )
+    | """ + _SKIP + r"++\Z",
+    re.VERBOSE,
+)
+# Matches the opener of a lexeme that runs to the end of the text unclosed.
+_UNTERMINATED = re.compile(
+    r"""/\*(?!.*\*/\Z)
+      | \"\"\"(?!.*\"\"\"\Z)
+      | "(?!"")(?!(?:[^"\\\n]|\\.)*+"\Z)
+      | '(?!(?:[^'\\\n]|\\.)*+'\Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+_UNTERMINATED_MESSAGE = {
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated char literal",
+}
+_NOT_TOKEN = ("\n", "/*")
+
+
+class _KindOf(dict):
+    """Token kind by a lexeme's first character, filled in on first use."""
+
+    def __missing__(self, ch: str) -> str:
+        if ch.isdigit():
+            kind = NUMBER
+        elif ch.isalpha() or ch in "_$":
+            kind = IDENT
+        else:
+            kind = OP
+        self[ch] = kind
+        return kind
+
+
+_KIND = _KindOf({'"': STRING, "'": CHAR})
 
 CLOSING = {"(": ")", "[": "]", "{": "}"}
 _OPENING = {close: open_ for open_, close in CLOSING.items()}
 _BRACKETS = frozenset(CLOSING) | frozenset(_OPENING)
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _IDENT_EXTRA
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in _IDENT_EXTRA
-
-
 def tokenize(text: str, file_id: str = "<memory>") -> List[Token]:
     """Tokenize Java source; raises ParseError on malformed lexical input."""
-    tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    line = 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if nxt == "*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    raise ParseError(file_id, line, "unterminated block comment")
-                line += text.count("\n", i, j)
-                i = j + 2
-                continue
-        if ch == '"':
-            if text.startswith('"""', i):
-                j = text.find('"""', i + 3)
-                if j < 0:
-                    raise ParseError(file_id, line, "unterminated text block")
-                start_line = line
-                line += text.count("\n", i, j)
-                tokens.append(Token(STRING, text[i:j + 3], start_line))
-                i = j + 3
-                continue
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    raise ParseError(file_id, line, "unterminated string literal")
-                j += 1
-            if j >= n:
-                raise ParseError(file_id, line, "unterminated string literal")
-            tokens.append(Token(STRING, text[i:j + 1], line))
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == "'":
-                    break
-                if text[j] == "\n":
-                    raise ParseError(file_id, line, "unterminated char literal")
-                j += 1
-            if j >= n:
-                raise ParseError(file_id, line, "unterminated char literal")
-            tokens.append(Token(CHAR, text[i:j + 1], line))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n:
-                c = text[j]
-                if c.isalnum() or c == "_":
-                    j += 1
-                elif c == "." and j + 1 < n and text[j + 1].isdigit():
-                    j += 1
-                else:
-                    break
-            tokens.append(Token(NUMBER, text[i:j], line))
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(text[j]):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], line))
-            i = j
-            continue
-        if text.startswith("...", i):
-            tokens.append(Token(OP, "...", line))
-            i += 3
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, two, line))
-            i += 2
-            continue
-        tokens.append(Token(OP, ch, line))
-        i += 1
-    return tokens
+    lexemes = _LEXEME.findall(text)
+    if lexemes and not lexemes[-1]:
+        lexemes.pop()  # blanks or comments after the last lexeme
+    elif lexemes:
+        opener = _UNTERMINATED.match(lexemes[-1])
+        if opener:
+            line = text.count("\n") + 1 - lexemes[-1].count("\n")
+            raise ParseError(file_id, line, _UNTERMINATED_MESSAGE[opener.group()])
+    lines = list(range(1, text.count("\n") + 2))
+    starts = accumulate(map(str.count, lexemes, repeat("\n")), initial=0)
+    kinds = map(_KIND.__getitem__, map(itemgetter(0), lexemes))
+    keep = map(not_, map(str.startswith, lexemes, repeat(_NOT_TOKEN)))
+    rows = compress(zip(kinds, lexemes, map(lines.__getitem__, starts)), keep)
+    return list(map(tuple.__new__, repeat(Token), rows))
 
 
 def match_brackets(tokens: Sequence[Token]) -> List[int]:

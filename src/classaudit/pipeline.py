@@ -54,7 +54,8 @@ class GroupSummary:
 
 @dataclass
 class Diagnostics:
-    """Skip tally plus one `SKIP path:line reason` line per skipped unit."""
+    """Skip tally plus one `SKIP path:line reason` line per skipped unit, or
+    `ERROR path:0 Type: message` for a file that raised unexpectedly."""
 
     files_seen: int = 0
     rows_seen: int = 0
@@ -65,6 +66,12 @@ class Diagnostics:
     def skip(self, path: str, line: int, reason: str):
         self.skipped += 1
         self.lines.append(f"SKIP {path}:{line} {reason}")
+
+    def error(self, path: str, exc: Exception):
+        """An unexpected exception while analyzing one file: skipped like a
+        parse failure, but reported as an internal error."""
+        self.skipped += 1
+        self.lines.append(f"ERROR {path}:0 {type(exc).__name__}: {exc}")
 
     def units_seen(self) -> int:
         return self.files_seen + self.rows_seen
@@ -88,10 +95,10 @@ def ingest_sources(
 ) -> Iterator[ClassRecord]:
     """Parse every .java file under the roots into ClassRecords.
 
-    Unreadable roots raise OSError (fatal); per-file parse failures, and
-    files nested too deeply for the recursive walk, are tallied in
-    diagnostics and skipped. Traversal order is sorted, so the record stream
-    is deterministic.
+    Unreadable roots raise OSError (fatal); per-file parse failures, files
+    nested too deeply for the recursive walk, and any other exception raised
+    while analyzing one file are tallied in diagnostics and skipped.
+    Traversal order is sorted, so the record stream is deterministic.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     for root in roots:
@@ -108,6 +115,17 @@ def ingest_sources(
                 try:
                     text = _read_text(path)
                     classes = parse_compilation_unit(text, path)
+                    records = [
+                        ClassRecord(
+                            qualified_name=cls.qualified_name,
+                            origin=path,
+                            metrics=class_metrics(cls),
+                            loc=cls.loc,
+                            blank_lines=cls.blank_lines,
+                            label=classify(cls.name, cls.has_static_member, rules, excluded_to),
+                        )
+                        for cls in _flatten(classes)
+                    ]
                 except ParseError as exc:
                     diag.skip(path, exc.line, exc.message)
                     continue
@@ -117,16 +135,10 @@ def ingest_sources(
                 except RecursionError:
                     diag.skip(path, 0, "nesting too deep")
                     continue
-                for cls in _flatten(classes):
-                    label = classify(cls.name, cls.has_static_member, rules, excluded_to)
-                    yield ClassRecord(
-                        qualified_name=cls.qualified_name,
-                        origin=path,
-                        metrics=class_metrics(cls),
-                        loc=cls.loc,
-                        blank_lines=cls.blank_lines,
-                        label=label,
-                    )
+                except Exception as exc:
+                    diag.error(path, exc)
+                    continue
+                yield from records
 
 
 def _read_text(path: str) -> str:

@@ -2,13 +2,18 @@
 
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classaudit
+from classaudit import pipeline
 from classaudit.classify import GroupKind, GroupLabel
 from classaudit.errors import EmptyInput, MissingColumn
 from classaudit.metrics import ClassMetrics
@@ -248,6 +253,48 @@ def test_ingest_skips_file_nested_too_deep(tmp_path, body):
     assert [replace(r, origin=os.path.basename(r.origin)) for r in records] == [
         replace(r, origin=os.path.basename(r.origin)) for r in expected
     ]
+
+
+def test_ingest_reports_unexpected_exception_as_error(tmp_path, monkeypatch):
+    for name in ("A", "B", "C"):
+        (tmp_path / f"{name}.java").write_text(
+            f"class {name} {{ int x; void f() {{ x = 1; }} void g() {{ x = 2; }} }}"
+        )
+    expected = [r for r in ingest_sources([tmp_path]) if r.qualified_name != "B"]
+    real_parse = pipeline.parse_compilation_unit
+
+    def parse_failing_on_b(text, path):
+        if path.endswith("B.java"):
+            raise ValueError("boom")
+        return real_parse(text, path)
+
+    monkeypatch.setattr(pipeline, "parse_compilation_unit", parse_failing_on_b)
+    diag = Diagnostics()
+    assert list(ingest_sources([tmp_path], diagnostics=diag)) == expected
+    assert diag.lines == [f"ERROR {tmp_path / 'B.java'}:0 ValueError: boom"]
+    assert diag.skipped == 1
+    assert diag.skip_rate() == 1 / 3
+
+
+def test_ingest_unclosed_try_resources_does_not_hang(tmp_path):
+    (tmp_path / "A.java").write_text("class A { void f() { try ( { ; } } }")
+    script = (
+        "import sys\n"
+        "from classaudit.pipeline import Diagnostics, ingest_sources\n"
+        "diag = Diagnostics()\n"
+        "records = list(ingest_sources([sys.argv[1]], diagnostics=diag))\n"
+        "print(len(records), diag.skipped)\n"
+    )
+    package_root = Path(classaudit.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "0"]
 
 
 def test_ingest_missing_root_fatal(tmp_path):

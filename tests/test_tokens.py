@@ -70,3 +70,32 @@ def test_unterminated_lexemes_raise(bad):
 
 def test_numbers_with_suffixes_and_separators():
     assert texts("1_000 0x1F 2.5f 1e9") == ["1_000", "0x1F", "2.5f", "1e9"]
+
+
+def test_escaped_newline_in_string_counts_as_a_line():
+    toks = tokenize('"a\\\nb" x')
+    assert [(t.text, t.line) for t in toks] == [('"a\\\nb"', 1), ("x", 2)]
+    with pytest.raises(ParseError) as err:
+        tokenize('"a\\\nb"\nint y;\n"open', "Bad.java")
+    assert (err.value.line, err.value.message) == (4, "unterminated string literal")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ('"\\' * 200_000, 1, "unterminated string literal"),
+    ("/* " * 200_000, 1, "unterminated block comment"),
+    ("int x;\n" * 100_000 + '"', 100_001, "unterminated string literal"),
+], ids=["escapes", "comment_openers", "quote_at_end"])
+def test_long_unterminated_inputs_raise_at_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        tokenize(text, "Bad.java")
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # '½' is neither a letter nor a decimal digit, yet continues a lexeme.
+    ("½x", [("op", "½x", 1)]),
+    # '²' is a digit but not a decimal one, so '.' does not join it.
+    ("1.²", [("number", "1", 1), ("op", ".", 1), ("number", "²", 1)]),
+])
+def test_non_decimal_numeric_characters_split_as_pinned(text, expected):
+    assert [tuple(t) for t in tokenize(text)] == expected
