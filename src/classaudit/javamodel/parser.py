@@ -46,7 +46,7 @@ def parse_compilation_unit(source_text: str, file_id: str = "<memory>") -> List[
 
 class _UnitParser:
     def __init__(self, tokens: Sequence[Token], source_text: str, file_id: str):
-        self.toks = list(tokens)
+        self.toks = tokens
         self.n = len(self.toks)
         self.match = match_brackets(self.toks)
         self.lines = source_text.split("\n")

@@ -12,12 +12,15 @@ The whole file is scanned once, by ``findall`` with one compiled pattern,
 and the token list is built from the result by ``map``/``zip``/``compress``,
 so no Python code runs per token. Each match skips blanks without a newline
 and comments that close on their own line, uncaptured, then captures one
-lexeme: a token, a ``\\n``, or a block comment spanning lines. A lexeme's
+lexeme: a token, a ``\\n``, a block comment spanning lines, or ``""`` at the
+end of the text. As that group matches wherever the skip stops, the scan
+never backtracks into skipped text, which keeps it linear without the
+possessive quantifiers ``re`` has only from Python 3.11. A lexeme's
 line is one plus the newlines in the lexemes before it; newlines and
 comments are then dropped, and a token's kind comes from its first
 character. An unterminated comment, text block, string or char literal
 matches as one lexeme running to the end of the text, so it can only be the
-last lexeme, and checking that one finds it.
+last lexeme, and matching that one against its closed form finds it.
 
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
 in one pass, so the structural passes find the extent of a group by one
@@ -58,33 +61,33 @@ PRIMITIVE_TYPES = frozenset(
 _TWO_CHAR_OPS = ("&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
                  "%=", "&=", "|=", "^=", "->", "::", "++", "--")
 
-# Blanks other than '\n', a line comment, a block comment closed on its line.
-_SKIP = r"(?:[^\S\n]++|//[^\n]*+|/\*[^\n]*?\*/)"
-# An unclosed comment, text block or literal takes the (?s:.*) branch and
-# runs to the end of the text.
+# Blanks other than '\n', line comments and block comments closed on their
+# line, written so that any skipped text has exactly one parse.
+_SKIP = r"[^\S\n]*(?:(?://[^\n]*|/\*[^\n]*?\*/)[^\S\n]*)*"
+# Each comment or literal that may run past its line, closed, by opener.
+# Text blocks come before strings so that '"""' is never read as '"'.
+_CLOSED = {
+    "/*": r"/\*(?s:.*?)\*/",
+    '"""': r'"""(?s:.*?)"""',
+    '"': r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"',
+    "'": r"'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'",
+}
+# One lexeme after any skipped text. The group must keep matching at the
+# end of the text (``\Z``), or a skip reaching it would be backtracked. A
+# comment or literal not closed runs to the end by its opener's second branch.
 _LEXEME = re.compile(
-    _SKIP + r"""*+(
-        \n
-      | /\*(?s:.*?\*/|.*)                        # block comment spanning lines
-      | \"\"\"(?s:.*?\"\"\"|.*)                  # text block
-      | "(?:[^"\\\n]|\\(?s:.))*+(?:"|(?s:.*))    # string literal
-      | '(?:[^'\\\n]|\\(?s:.))*+(?:'|(?s:.*))    # char literal
-      | \d(?:\w|\.(?=\d))*+                      # number
-      | (?:[^\W\d]|\$)[\w$]*+                    # identifier
+    _SKIP + r"(\n|"
+    + "|".join(f"{closed}|{re.escape(opener)}(?s:.*)"
+               for opener, closed in _CLOSED.items())
+    + r"""
+      | \d\w*(?:\.(?=\d)\w*)*                    # number
+      | (?:[^\W\d]|\$)[\w$]*                     # identifier
       | \.\.\.
       | """ + "|".join(map(re.escape, _TWO_CHAR_OPS)) + r"""
       | \S
-    )
-    | """ + _SKIP + r"++\Z",
+      | \Z
+    )""",
     re.VERBOSE,
-)
-# Matches the opener of a lexeme that runs to the end of the text unclosed.
-_UNTERMINATED = re.compile(
-    r"""/\*(?!.*\*/\Z)
-      | \"\"\"(?!.*\"\"\"\Z)
-      | "(?!"")(?!(?:[^"\\\n]|\\.)*+"\Z)
-      | '(?!(?:[^'\\\n]|\\.)*+'\Z)""",
-    re.VERBOSE | re.DOTALL,
 )
 _UNTERMINATED_MESSAGE = {
     "/*": "unterminated block comment",
@@ -116,16 +119,23 @@ _OPENING = {close: open_ for open_, close in CLOSING.items()}
 _BRACKETS = frozenset(CLOSING) | frozenset(_OPENING)
 
 
+def _unclosed_opener(lexeme: str) -> str:
+    """The opener of a comment or literal lexeme left unclosed, else ""."""
+    for opener, closed in _CLOSED.items():
+        if lexeme.startswith(opener):
+            return "" if re.fullmatch(closed, lexeme) else opener
+    return ""
+
+
 def tokenize(text: str, file_id: str = "<memory>") -> List[Token]:
     """Tokenize Java source; raises ParseError on malformed lexical input."""
     lexemes = _LEXEME.findall(text)
-    if lexemes and not lexemes[-1]:
-        lexemes.pop()  # blanks or comments after the last lexeme
-    elif lexemes:
-        opener = _UNTERMINATED.match(lexemes[-1])
+    del lexemes[lexemes.index(""):]  # "" is captured only at the end
+    if lexemes:
+        opener = _unclosed_opener(lexemes[-1])
         if opener:
             line = text.count("\n") + 1 - lexemes[-1].count("\n")
-            raise ParseError(file_id, line, _UNTERMINATED_MESSAGE[opener.group()])
+            raise ParseError(file_id, line, _UNTERMINATED_MESSAGE[opener])
     lines = list(range(1, text.count("\n") + 2))
     starts = accumulate(map(str.count, lexemes, repeat("\n")), initial=0)
     kinds = map(_KIND.__getitem__, map(itemgetter(0), lexemes))

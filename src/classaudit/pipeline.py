@@ -69,9 +69,11 @@ class Diagnostics:
 
     def error(self, path: str, exc: Exception):
         """An unexpected exception while analyzing one file: skipped like a
-        parse failure, but reported as an internal error."""
+        parse failure, but reported as an internal error. The message is
+        joined onto one line so that each entry stays one line."""
         self.skipped += 1
-        self.lines.append(f"ERROR {path}:0 {type(exc).__name__}: {exc}")
+        message = " ".join(str(exc).splitlines())
+        self.lines.append(f"ERROR {path}:0 {type(exc).__name__}: {message}")
 
     def units_seen(self) -> int:
         return self.files_seen + self.rows_seen

@@ -1,5 +1,6 @@
 """Ingestion, quantile filtering, and aggregation."""
 
+import io
 import os
 import random
 import subprocess
@@ -255,7 +256,14 @@ def test_ingest_skips_file_nested_too_deep(tmp_path, body):
     ]
 
 
-def test_ingest_reports_unexpected_exception_as_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "message, reported",
+    [("boom", "boom"), ("first line\nsecond line\r\nthird", "first line second line third")],
+    ids=["one_line", "multi_line"],
+)
+def test_ingest_reports_unexpected_exception_as_error(
+    tmp_path, monkeypatch, message, reported
+):
     for name in ("A", "B", "C"):
         (tmp_path / f"{name}.java").write_text(
             f"class {name} {{ int x; void f() {{ x = 1; }} void g() {{ x = 2; }} }}"
@@ -265,13 +273,16 @@ def test_ingest_reports_unexpected_exception_as_error(tmp_path, monkeypatch):
 
     def parse_failing_on_b(text, path):
         if path.endswith("B.java"):
-            raise ValueError("boom")
+            raise ValueError(message)
         return real_parse(text, path)
 
     monkeypatch.setattr(pipeline, "parse_compilation_unit", parse_failing_on_b)
     diag = Diagnostics()
     assert list(ingest_sources([tmp_path], diagnostics=diag)) == expected
-    assert diag.lines == [f"ERROR {tmp_path / 'B.java'}:0 ValueError: boom"]
+    assert diag.lines == [f"ERROR {tmp_path / 'B.java'}:0 ValueError: {reported}"]
+    stream = io.StringIO()
+    diag.write(stream)
+    assert stream.getvalue().splitlines() == diag.lines
     assert diag.skipped == 1
     assert diag.skip_rate() == 1 / 3
 

@@ -91,6 +91,25 @@ def test_long_unterminated_inputs_raise_at_their_line(text, line, message):
     assert (err.value.line, err.value.message) == (line, message)
 
 
+@pytest.mark.parametrize("text", [
+    "x /* a */ // b // c",
+    "x // a /* b */ // c\t",
+    "x" + " \t" * 200_000,
+], ids=["comments", "nested_openers", "blanks"])
+def test_skipped_text_at_the_end_yields_no_tokens(text):
+    assert texts(text) == ["x"]
+
+
+@pytest.mark.parametrize("text, last", [
+    ('x = "a"', '"a"'),
+    ("x = 'a'", "'a'"),
+    ('x = """\na\n"""', '"""\na\n"""'),
+    ("x /* a\n */", "x"),
+], ids=["string", "char", "text_block", "block_comment"])
+def test_closed_literal_or_comment_at_the_end_is_not_unterminated(text, last):
+    assert texts(text)[-1] == last
+
+
 @pytest.mark.parametrize("text, expected", [
     # '½' is neither a letter nor a decimal digit, yet continues a lexeme.
     ("½x", [("op", "½x", 1)]),
