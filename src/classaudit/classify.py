@@ -58,17 +58,24 @@ class SuffixRules:
             raise ValueError("exclusion suffixes must be unique")
 
 
+_UTILS = GroupLabel(GroupKind.UTILS)
+_EROR = GroupLabel(GroupKind.EROR)
+_REST = GroupLabel(GroupKind.REST)
+_DROPPED_EXCLUDED = GroupLabel(GroupKind.DROPPED, "excluded-name")
+_DROPPED_STATIC = GroupLabel(GroupKind.DROPPED, "static-member")
+
+
 def has_utils_suffix(name: str, rules: SuffixRules) -> bool:
-    return any(name.endswith(s) for s in rules.utils_suffixes)
+    return name.endswith(rules.utils_suffixes)
 
 
 def has_eror_tail(name: str, rules: SuffixRules) -> bool:
     """Case-sensitive lowercase tail with at least one preceding character."""
-    return any(name.endswith(s) and len(name) > len(s) for s in rules.eror_suffixes)
+    return name[1:].endswith(rules.eror_suffixes)
 
 
 def has_exclusion_suffix(name: str, rules: SuffixRules) -> bool:
-    return any(name.endswith(s) for s in rules.exclusion_suffixes)
+    return name.endswith(rules.exclusion_suffixes)
 
 
 def classify(
@@ -81,15 +88,15 @@ def classify(
     if not name:
         raise ValueError("class name must be non-empty")
     if has_utils_suffix(name, rules):
-        return GroupLabel(GroupKind.UTILS)
+        return _UTILS
     if has_eror_tail(name, rules):
         if not has_exclusion_suffix(name, rules):
-            return GroupLabel(GroupKind.EROR)
+            return _EROR
         if excluded_to == EXCLUDED_TO_DROP:
-            return GroupLabel(GroupKind.DROPPED, "excluded-name")
+            return _DROPPED_EXCLUDED
     if has_static_member:
-        return GroupLabel(GroupKind.DROPPED, "static-member")
-    return GroupLabel(GroupKind.REST)
+        return _DROPPED_STATIC
+    return _REST
 
 
 def load_rules(path: Path) -> SuffixRules:

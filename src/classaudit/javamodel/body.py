@@ -22,12 +22,13 @@ blocks, ternary branch operands, lambda bodies and anonymous/local class
 bodies are one deeper. ``try``/``finally`` blocks, plain ``{}`` blocks, and
 control-clause expressions stay at the construct's own depth.
 
-The walker pairs the body's own brackets once (``match_brackets`` on the
-body slice, so a ``(`` left open inside the body stays unpaired there) and
-jumps over parenthesized groups by that table instead of rescanning them.
+The walker reads the file's token lists over the body's index range and
+looks ahead as if the range were all there is (``""`` at and past its end).
+It jumps over groups by the file's bracket table, a partner past the range
+read as -1, which is the body's own table (see ``tokens``).
 """
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .model import (
     EVENT_BOOL_OP,
@@ -43,7 +44,7 @@ from .model import (
     EVENT_TERNARY,
     Event,
 )
-from .tokens import IDENT, PRIMITIVE_TYPES, Token, match_brackets
+from .tokens import IDENT, PRIMITIVE_TYPES, Tokens
 
 _DECL_HEAD_SKIP = frozenset({"final"})
 # Identifier may not be an access when directly preceded by one of these.
@@ -52,49 +53,51 @@ _VALUE_KEYWORDS = frozenset({"null", "true", "false"})
 
 
 def analyze_body(
-    tokens: Sequence[Token],
+    span: range,
+    tokens: Tokens,
     attr_names: Set[str],
     param_names: Sequence[str],
     method_name: str,
 ) -> Tuple[Set[str], List[Event]]:
-    """Analyze the tokens between a method's braces (braces excluded)."""
-    walker = _BodyWalker(tokens, attr_names, param_names, method_name)
+    """Analyze the tokens at ``span``: a method's, between its braces."""
+    walker = _BodyWalker(span, tokens, attr_names, param_names, method_name)
     walker.run()
     return walker.accessed, walker.events
 
 
 class _BodyWalker:
-    def __init__(self, tokens, attr_names, param_names, method_name):
-        self.toks = tokens
-        self.n = len(self.toks)
-        self.match = match_brackets(self.toks)
-        self.i = 0
+    def __init__(self, span, tokens, attr_names, param_names, method_name):
+        self.texts = tokens.texts
+        self.kinds = tokens.kinds
+        self.match = tokens.match
+        self.i = span.start
+        self.end = span.stop
         self.attrs = set(attr_names)
         self.method_name = method_name
         self.scopes: List[Set[str]] = [set(param_names)]
         self.accessed: Set[str] = set()
         self.events: List[Event] = []
-        self.last: Optional[Token] = None
+        self.last = ""  # text of the token eaten last
 
     # ---- cursor helpers -------------------------------------------------
 
-    def cur(self) -> Optional[Token]:
-        return self.toks[self.i] if self.i < self.n else None
-
     def txt(self, k: int = 0) -> str:
         j = self.i + k
-        return self.toks[j].text if 0 <= j < self.n else ""
+        return self.texts[j] if j < self.end else ""
 
     def kind(self, k: int = 0) -> str:
         j = self.i + k
-        return self.toks[j].kind if 0 <= j < self.n else ""
+        return self.kinds[j] if j < self.end else ""
 
-    def eat(self) -> Optional[Token]:
-        tok = self.cur()
-        if tok is not None:
-            self.last = tok
+    def close_of(self, i: int) -> int:
+        """Partner of the opener at i inside the body, else -1."""
+        j = self.match[i]
+        return j if j < self.end else -1
+
+    def eat(self):
+        if self.i < self.end:
+            self.last = self.texts[self.i]
             self.i += 1
-        return tok
 
     def eat_if(self, text: str) -> bool:
         if self.txt() == text:
@@ -120,7 +123,7 @@ class _BodyWalker:
     # ---- entry -----------------------------------------------------------
 
     def run(self):
-        while self.cur() is not None:
+        while self.i < self.end:
             if self.txt() == "}":
                 self.eat()  # unbalanced close; tolerate
                 continue
@@ -130,7 +133,7 @@ class _BodyWalker:
 
     def parse_block(self, depth: int):
         """Statements until the matching '}' (opening brace already eaten)."""
-        while self.cur() is not None:
+        while self.i < self.end:
             if self.txt() == "}":
                 self.eat()
                 return
@@ -158,7 +161,7 @@ class _BodyWalker:
             self.pop_scope()
             return
         if t == "if":
-            self.parse_if(depth, is_else_if=False)
+            self.parse_if(depth)
             return
         if t == "for":
             self.parse_for(depth)
@@ -238,17 +241,18 @@ class _BodyWalker:
         if self.i == before:
             self.eat()  # guarantee progress on malformed input
 
-    def parse_if(self, depth: int, is_else_if: bool):
-        self.eat()  # 'if'
-        self.events.append((EVENT_ELSE_IF if is_else_if else EVENT_IF, depth))
-        self.parse_paren_expr(depth)
+    def parse_if(self, depth: int):
+        """An if and its else-if links: a loop, as each link is flat."""
+        kind = EVENT_IF
+        while self.eat_if("if"):
+            self.events.append((kind, depth))
+            self.parse_paren_expr(depth)
+            self.embedded(depth + 1)
+            if not self.eat_if("else"):
+                return
+            kind = EVENT_ELSE_IF
+        self.events.append((EVENT_ELSE, depth))
         self.embedded(depth + 1)
-        if self.eat_if("else"):
-            if self.txt() == "if":
-                self.parse_if(depth, is_else_if=True)
-            else:
-                self.events.append((EVENT_ELSE, depth))
-                self.embedded(depth + 1)
 
     def parse_for(self, depth: int):
         self.eat()  # 'for'
@@ -285,7 +289,7 @@ class _BodyWalker:
         if not self.eat_if("{"):
             return
         self.push_scope()
-        while self.cur() is not None and self.txt() != "}":
+        while self.i < self.end and self.txt() != "}":
             t = self.txt()
             if t == "case":
                 self.eat()
@@ -316,7 +320,7 @@ class _BodyWalker:
             has_resources = True
             self.eat()
             self.push_scope()
-            while self.cur() is not None and self.txt() != ")":
+            while self.i < self.end and self.txt() != ")":
                 before = self.i
                 if not self.try_parse_declaration(depth, terminators=(";", ")")):
                     self.parse_expr({";", ")"}, depth)
@@ -334,7 +338,7 @@ class _BodyWalker:
             self.push_scope()
             if self.eat_if("("):
                 last_ident = None
-                while self.cur() is not None and self.txt() != ")":
+                while self.i < self.end and self.txt() != ")":
                     if self.kind() == IDENT:
                         last_ident = self.txt()
                     self.eat()
@@ -350,7 +354,7 @@ class _BodyWalker:
 
     def parse_local_type(self, depth: int):
         """Local class/interface/enum/record: body is a nested region."""
-        while self.cur() is not None and self.txt() != "{":
+        while self.i < self.end and self.txt() != "{":
             if self.txt() == "(":  # record header
                 self.skip_parens()
                 continue
@@ -374,7 +378,7 @@ class _BodyWalker:
         Each call frame is one run context for boolean-operator sequences.
         """
         last_bool = None
-        while self.cur() is not None:
+        while self.i < self.end:
             t = self.txt()
             if t in stop or (t in ("}", ";") and t not in stop):
                 return
@@ -391,7 +395,7 @@ class _BodyWalker:
                 self.eat_if("]")
                 continue
             if t == "{":
-                if self.last is not None and self.last.text == ")":
+                if self.last == ")":
                     # anonymous class body after `new T(...)`
                     self.eat()
                     self.push_scope()
@@ -463,8 +467,7 @@ class _BodyWalker:
             self._lambda_body(depth, stop)
             self.pop_scope()
             return
-        prev = self.last.text if self.last is not None else ""
-        if prev not in _QUALIFIER_PREV and name not in _VALUE_KEYWORDS:
+        if self.last not in _QUALIFIER_PREV and name not in _VALUE_KEYWORDS:
             if self.txt(1) == "(":
                 if name == self.method_name:
                     self.events.append((EVENT_RECURSION, depth))
@@ -482,29 +485,29 @@ class _BodyWalker:
     def _try_lambda_params(self, depth: int, stop: Set[str]) -> bool:
         """At '(': if the parenthesized group is a lambda parameter list,
         consume it plus the body and return True."""
-        close = self.match[self.i]
-        if close < 0 or close + 1 >= self.n or self.toks[close + 1].text != "->":
+        close = self.close_of(self.i)
+        if close < 0 or self.txt(close + 1 - self.i) != "->":
             return False
         params = []
         depth_par = 0
         depth_angle = 0
         seg_last_ident = None
         for j in range(self.i + 1, close):
-            tok = self.toks[j]
-            if tok.text in ("(", "["):
+            t = self.texts[j]
+            if t in ("(", "["):
                 depth_par += 1
-            elif tok.text in (")", "]"):
+            elif t in (")", "]"):
                 depth_par -= 1
-            elif tok.text == "<":
+            elif t == "<":
                 depth_angle += 1
-            elif tok.text == ">":
+            elif t == ">":
                 depth_angle = max(0, depth_angle - 1)
-            elif tok.text == "," and depth_par == 0 and depth_angle == 0:
+            elif t == "," and depth_par == 0 and depth_angle == 0:
                 if seg_last_ident:
                     params.append(seg_last_ident)
                 seg_last_ident = None
-            elif tok.kind == IDENT:
-                seg_last_ident = tok.text
+            elif self.kinds[j] == IDENT:
+                seg_last_ident = t
         if seg_last_ident:
             params.append(seg_last_ident)
         self.skip_parens()
@@ -515,9 +518,8 @@ class _BodyWalker:
         return True
 
     def _is_wildcard(self) -> bool:
-        prev = self.last.text if self.last is not None else ""
         nxt = self.txt(1)
-        return prev in ("<", ",") and nxt in ("extends", "super", ">", ",")
+        return self.last in ("<", ",") and nxt in ("extends", "super", ">", ",")
 
     def _parse_instanceof(self):
         self.eat()  # 'instanceof'
@@ -612,7 +614,7 @@ class _BodyWalker:
         """Consume a balanced <...> group; abort on expression-ish tokens."""
         save_i, save_last = self.i, self.last
         level = 0
-        while self.cur() is not None:
+        while self.i < self.end:
             t = self.txt()
             if t == "<":
                 level += 1
@@ -632,11 +634,11 @@ class _BodyWalker:
     def skip_parens(self):
         """At '(': move past its ')', which becomes `last` as if eaten; an
         unpaired '(' runs to the end of the body."""
-        close = self.match[self.i]
+        close = self.close_of(self.i)
         if close < 0:
-            close = self.n - 1
+            close = self.end - 1
         self.i = close + 1
-        self.last = self.toks[close]
+        self.last = self.texts[close]
 
     def _record_decl_ahead(self) -> bool:
         return (
@@ -648,16 +650,16 @@ class _BodyWalker:
     def _for_control_has_semicolon(self) -> bool:
         """Classic for, not enhanced: a ';' before the ')' closing the
         control, outside nested () and {} groups."""
-        close = self.match[self.i]
-        end = close if close >= 0 else self.n
+        close = self.close_of(self.i)
+        end = close if close >= 0 else self.end
         j = self.i + 1
         while j < end:
-            t = self.toks[j].text
+            t = self.texts[j]
             if t == ";":
                 return True
             if t in ("(", "{"):
-                if self.match[j] < 0:
+                j = self.close_of(j)
+                if j < 0:
                     return False
-                j = self.match[j]
             j += 1
         return False

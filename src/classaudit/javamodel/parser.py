@@ -16,7 +16,7 @@ from typing import List, Sequence, Set, Tuple
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
 from .model import AttributeDecl, Event, MethodView, SourceClass
-from .tokens import CLOSING, IDENT, MODIFIER_WORDS, Token, match_brackets, tokenize
+from .tokens import CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
 
 _TYPE_KEYWORDS = ("class", "interface", "enum")
 
@@ -45,52 +45,44 @@ def parse_compilation_unit(source_text: str, file_id: str = "<memory>") -> List[
 
 
 class _UnitParser:
-    def __init__(self, tokens: Sequence[Token], source_text: str, file_id: str):
+    def __init__(self, tokens: Tokens, source_text: str, file_id: str):
         self.toks = tokens
-        self.n = len(self.toks)
-        self.match = match_brackets(self.toks)
-        self.lines = source_text.split("\n")
+        self.n = len(tokens)
+        # texts/kinds end in a "" sentinel, so index n (and -1) reads "".
+        self.texts = tokens.texts
+        self.kinds = tokens.kinds
+        self.lines = tokens.lines
+        self.match = tokens.match
+        self.source_lines = source_text.split("\n")
         if source_text.endswith("\n"):
-            self.lines.pop()
+            self.source_lines.pop()
         self.file_id = file_id
         self.package = ""
 
     # ---- token helpers ----------------------------------------------------
-
-    def txt(self, i: int, k: int = 0) -> str:
-        j = i + k
-        return self.toks[j].text if 0 <= j < self.n else ""
-
-    def kind(self, i: int, k: int = 0) -> str:
-        j = i + k
-        return self.toks[j].kind if 0 <= j < self.n else ""
-
-    def line(self, i: int) -> int:
-        j = min(max(i, 0), self.n - 1)
-        return self.toks[j].line if self.n else 1
 
     def close_of(self, i: int) -> int:
         """Index of the bracket closing the one opened at i; ParseError at
         the opener's line when it has none."""
         j = self.match[i]
         if j < 0:
-            t = self.txt(i)
-            raise ParseError(self.file_id, self.line(i), f"unbalanced {t}{CLOSING[t]}")
+            t = self.texts[i]
+            raise ParseError(self.file_id, self.lines[i], f"unbalanced {t}{CLOSING[t]}")
         return j
 
     def skip_annotation(self, i: int) -> int:
         """i at '@': skip @Name or @Name(...). Returns next index."""
         i += 1
-        while self.txt(i) == "." or self.kind(i) == IDENT:
+        while self.texts[i] == "." or self.kinds[i] == IDENT:
             nxt = i + 1
-            if self.kind(i) == IDENT and self.txt(nxt) == ".":
+            if self.kinds[i] == IDENT and self.texts[nxt] == ".":
                 i = nxt + 1
                 continue
-            if self.kind(i) == IDENT:
+            if self.kinds[i] == IDENT:
                 i = nxt
                 break
             i = nxt
-        if self.txt(i) == "(":
+        if self.texts[i] == "(":
             i = self.close_of(i) + 1
         return i
 
@@ -100,18 +92,18 @@ class _UnitParser:
         units: List[SourceClass] = []
         i = 0
         while i < self.n:
-            t = self.txt(i)
+            t = self.texts[i]
             if t == "package":
                 j = i + 1
                 parts = []
-                while self.txt(j) != ";" and j < self.n:
-                    parts.append(self.txt(j))
+                while self.texts[j] != ";" and j < self.n:
+                    parts.append(self.texts[j])
                     j += 1
                 self.package = "".join(parts)
                 i = j + 1
                 continue
             if t == "import":
-                while i < self.n and self.txt(i) != ";":
+                while i < self.n and self.texts[i] != ";":
                     i += 1
                 i += 1
                 continue
@@ -121,7 +113,7 @@ class _UnitParser:
     def _scan_region(self, i: int, prefix: str, units: List[SourceClass]) -> int:
         """Handle one construct starting at i; returns the index after it.
         Collects class units found anywhere inside."""
-        t = self.txt(i)
+        t = self.texts[i]
         if t == "@":
             return self.skip_annotation(i)
         if t in MODIFIER_WORDS:
@@ -137,52 +129,46 @@ class _UnitParser:
         return i + 1
 
     def _is_record_decl(self, i: int) -> bool:
-        return self.txt(i) == "record" and self.kind(i, 1) == IDENT and self.txt(i, 2) == "("
+        return self.texts[i] == "record" and self.kinds[i + 1] == IDENT and self.texts[i + 2] == "("
 
     def _decl_first_index(self, i: int) -> int:
         """Walk back over modifiers/annotations to the declaration start."""
         j = i
-        while j - 1 >= 0:
-            prev = self.txt(j - 1)
+        while True:
+            prev = self.texts[j - 1]
+            k = self.match[j - 1]  # the '(' of @Name(...) when prev is ')'
             if prev in MODIFIER_WORDS or prev == "non" or prev == "-":
                 j -= 1
-                continue
-            if self.kind(j - 1) == IDENT and j - 2 >= 0 and self.txt(j - 2) == "@":
+            elif self.kinds[j - 1] == IDENT and self.texts[j - 2] == "@":
                 j -= 2
-                continue
-            if prev == ")":
-                # possible annotation arguments: @Name(...)
-                k = self.match[j - 1]
-                if k - 2 >= 0 and self.txt(k - 2) == "@" and self.kind(k - 1) == IDENT:
-                    j = k - 2
-                    continue
-                break
-            break
-        return j
+            elif prev == ")" and k >= 2 and self.texts[k - 2] == "@" and self.kinds[k - 1] == IDENT:
+                j = k - 2
+            else:
+                return j
 
     def _parse_type_decl(self, i: int, prefix: str, units: List[SourceClass], decl_start: int) -> int:
-        keyword = self.txt(i)
-        is_annotation_decl = keyword == "interface" and self.txt(i - 1) == "@"
+        keyword = self.texts[i]
+        is_annotation_decl = keyword == "interface" and self.texts[i - 1] == "@"
         name_idx = i + 1
-        if self.kind(name_idx) != IDENT:
+        if self.kinds[name_idx] != IDENT:
             return i + 1
-        name = self.txt(name_idx)
+        name = self.texts[name_idx]
         j = name_idx + 1
         # skip type parameters / record header / extends-implements-permits
-        while j < self.n and self.txt(j) != "{":
-            if self.txt(j) == "(":
+        while j < self.n and self.texts[j] != "{":
+            if self.texts[j] == "(":
                 j = self.close_of(j) + 1
                 continue
-            if self.txt(j) == ";":  # bodyless declaration
+            if self.texts[j] == ";":  # bodyless declaration
                 return j + 1
             j += 1
         if j >= self.n:
-            raise ParseError(self.file_id, self.line(i), f"missing body for {keyword} {name}")
+            raise ParseError(self.file_id, self.lines[i], f"missing body for {keyword} {name}")
         body_open = j
         body_close = self.close_of(body_open)
         qualified = f"{prefix}.{name}" if prefix else name
         if keyword == "class" and not is_annotation_decl:
-            first_line = self.line(self._decl_first_index(decl_start))
+            first_line = self.lines[self._decl_first_index(decl_start)]
             unit = self._build_class(
                 name, qualified, body_open, body_close, first_line
             )
@@ -196,8 +182,8 @@ class _UnitParser:
         """Find type declarations anywhere in [i, end) without modeling the
         surrounding construct (interface/enum/record bodies, initializers)."""
         while i < end:
-            t = self.txt(i)
-            if t in _TYPE_KEYWORDS and self.txt(i, -1) != "." and self.kind(i, 1) == IDENT:
+            t = self.texts[i]
+            if t in _TYPE_KEYWORDS and self.texts[i - 1] != "." and self.kinds[i + 1] == IDENT:
                 i = self._parse_type_decl(i, prefix, units, self._decl_first_index(i))
                 continue
             if t == "{":
@@ -225,31 +211,31 @@ class _UnitParser:
 
         i = body_open + 1
         while i < body_close:
-            t = self.txt(i)
+            t = self.texts[i]
             if t == ";":
                 i += 1
                 continue
             decl_start = i
             mods: Set[str] = set()
             while i < body_close:
-                t = self.txt(i)
-                if t == "@" and self.txt(i, 1) != "interface":
+                t = self.texts[i]
+                if t == "@" and self.texts[i + 1] != "interface":
                     i = self.skip_annotation(i)
                 elif t in MODIFIER_WORDS:
                     mods.add(t)
                     i += 1
-                elif t == "non" and self.txt(i, 1) == "-" and self.txt(i, 2) == "sealed":
+                elif t == "non" and self.texts[i + 1] == "-" and self.texts[i + 2] == "sealed":
                     i += 3
                 else:
                     break
-            t = self.txt(i)
+            t = self.texts[i]
             if i >= body_close:
                 break
             if t == "{":  # initializer block (static or instance)
                 i = self.close_of(i) + 1
                 continue
             if t in _TYPE_KEYWORDS or self._is_record_decl(i) or (
-                t == "@" and self.txt(i, 1) == "interface"
+                t == "@" and self.texts[i + 1] == "interface"
             ):
                 if t == "@":
                     i += 1  # at 'interface'
@@ -280,8 +266,9 @@ class _UnitParser:
                 accessed: Set[str] = set()
                 events: List[Event] = []
             else:
-                body_tokens = self.toks[body_span[0]:body_span[1]]
-                accessed, events = analyze_body(body_tokens, attr_names, pnames, mname)
+                accessed, events = analyze_body(
+                    range(*body_span), self.toks, attr_names, pnames, mname
+                )
             methods.append(
                 MethodView(
                     name=mname,
@@ -292,8 +279,8 @@ class _UnitParser:
                 )
             )
 
-        last_line = self.line(body_close)
-        loc, blank = count_loc_and_blank(self.lines, (first_line, last_line))
+        last_line = self.lines[body_close]
+        loc, blank = count_loc_and_blank(self.source_lines, (first_line, last_line))
         return SourceClass(
             name=name,
             qualified_name=qualified,
@@ -314,12 +301,12 @@ class _UnitParser:
         cannot be understood (caller advances one token).
         """
         start = i
-        if self.txt(i) == "<":  # generic method type parameters
+        if self.texts[i] == "<":  # generic method type parameters
             level = 0
             while i < end:
-                if self.txt(i) == "<":
+                if self.texts[i] == "<":
                     level += 1
-                elif self.txt(i) == ">":
+                elif self.texts[i] == ">":
                     level -= 1
                     if level == 0:
                         i += 1
@@ -330,7 +317,7 @@ class _UnitParser:
         angle = 0
         first_delim = None
         while j < end:
-            t = self.txt(j)
+            t = self.texts[j]
             if t == "<":
                 angle += 1
             elif t == ">":
@@ -350,14 +337,14 @@ class _UnitParser:
     def _parse_field(self, type_start: int, delim: int, end: int):
         # tokens[type_start:delim] = type tokens + first declarator name
         k = delim - 1
-        while k > type_start and self.txt(k) == "]" and self.txt(k, -1) == "[":
+        while k > type_start and self.texts[k] == "]" and self.texts[k - 1] == "[":
             k -= 2
-        if self.kind(k) != IDENT:
+        if self.kinds[k] != IDENT:
             return None
-        names = [self.txt(k)]
+        names = [self.texts[k]]
         i = delim
         while i < end:
-            t = self.txt(i)
+            t = self.texts[i]
             if t == ";":
                 return (i + 1, "field", "", names, [], (0, 0))
             if t == "=":
@@ -365,8 +352,8 @@ class _UnitParser:
                 continue
             if t == ",":
                 i += 1
-                if self.kind(i) == IDENT:
-                    names.append(self.txt(i))
+                if self.kinds[i] == IDENT:
+                    names.append(self.texts[i])
                     i += 1
                 continue
             i += 1
@@ -376,7 +363,7 @@ class _UnitParser:
         """Skip an initializer expression up to a top-level ',' or ';'."""
         level = 0
         while i < end:
-            t = self.txt(i)
+            t = self.texts[i]
             if t in ("(", "[", "{"):
                 level += 1
             elif t in (")", "]", "}"):
@@ -388,20 +375,20 @@ class _UnitParser:
 
     def _parse_callable(self, decl_start: int, head: int, paren: int, end: int, class_name: str):
         name_idx = paren - 1
-        if self.kind(name_idx) != IDENT:
+        if self.kinds[name_idx] != IDENT:
             return None
-        mname = self.txt(name_idx)
+        mname = self.texts[name_idx]
         has_return_type = name_idx > head
         params_close = self.close_of(paren)
         param_types, param_names = self._parse_params(paren + 1, params_close)
         # throws clause, then body or ';'
         i = params_close + 1
-        while i < end and self.txt(i) not in ("{", ";"):
-            if self.txt(i) == "(":
+        while i < end and self.texts[i] not in ("{", ";"):
+            if self.texts[i] == "(":
                 i = self.close_of(i) + 1
                 continue
             i += 1
-        if self.txt(i) == "{":
+        if self.texts[i] == "{":
             body_close = self.close_of(i)
             body_span = (i + 1, body_close)
             nxt = body_close + 1
@@ -421,7 +408,7 @@ class _UnitParser:
         angle = 0
         j = i
         while j <= close:
-            t = self.txt(j) if j < close else ","
+            t = self.texts[j] if j < close else ","
             if j < close and t in ("(", "["):
                 level += 1
             elif j < close and t in (")", "]"):
@@ -441,8 +428,8 @@ class _UnitParser:
 
     def _param_segment(self, i: int, end: int):
         """One parameter: [annotations] [final] Type name [ '[]'* ]."""
-        while i < end and (self.txt(i) == "@" or self.txt(i) == "final"):
-            if self.txt(i) == "@":
+        while i < end and (self.texts[i] == "@" or self.texts[i] == "final"):
+            if self.texts[i] == "@":
                 i = self.skip_annotation(i)
             else:
                 i += 1
@@ -450,15 +437,15 @@ class _UnitParser:
             return None
         k = end - 1
         trailing = 0
-        while k - 1 >= i and self.txt(k) == "]" and self.txt(k, -1) == "[":
+        while k - 1 >= i and self.texts[k] == "]" and self.texts[k - 1] == "[":
             trailing += 1
             k -= 2
-        if self.kind(k) != IDENT or k == i:
+        if self.kinds[k] != IDENT or k == i:
             return None  # degenerate: no type, or not a name
-        name = self.txt(k)
+        name = self.texts[k]
         if name == "this":
             return None
-        type_text = "".join(self.txt(p) for p in range(i, k))
+        type_text = "".join(self.texts[i:k])
         type_text += "[]" * trailing
         if not type_text:
             return None

@@ -1,16 +1,18 @@
 """Lexer for Java source text.
 
-Produces a flat token stream with comments and whitespace removed and the
-1-based source line attached to every token. String/char literals are kept
-as single tokens so that braces or keywords inside them can never confuse
-the structural passes. Generic angle brackets are emitted as single ``<``
-and ``>`` tokens (never ``>>``), which keeps nested type arguments
-balanced; the shift operators nothing downstream cares about are simply
-split.
+``tokenize`` gives one file's tokens as parallel ``texts``, ``kinds`` and
+``lines`` lists (comments and whitespace removed, 1-based source lines).
+String/char literals are kept as single tokens so that braces or keywords
+inside them can never confuse the structural passes. Generic angle
+brackets are emitted as single ``<`` and ``>`` tokens (never ``>>``),
+which keeps nested type arguments balanced; the shift operators nothing
+downstream cares about are simply split. ``texts`` and ``kinds`` end in a
+``""`` sentinel, so reading one past either end (index n, or -1) needs no
+bounds check.
 
 The whole file is scanned once, by ``findall`` with one compiled pattern,
-and the token list is built from the result by ``map``/``zip``/``compress``,
-so no Python code runs per token. Each match skips blanks without a newline
+and the lists are built from the result by ``map``/``compress``, so no
+Python code runs per token. Each match skips blanks without a newline
 and comments that close on their own line, uncaptured, then captures one
 lexeme: a token, a ``\\n``, a block comment spanning lines, or ``""`` at the
 end of the text. As that group matches wherever the skip stops, the scan
@@ -23,14 +25,17 @@ matches as one lexeme running to the end of the text, so it can only be the
 last lexeme, and matching that one against its closed form finds it.
 
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
-in one pass, so the structural passes find the extent of a group by one
-lookup instead of rescanning from its opener.
+in one pass, once per file, so the structural passes find the extent of a
+group by one lookup instead of rescanning from its opener. Over a range
+of the stream, a partner outside it read as -1, the file's table equals
+the range's own: a closer pairs with the innermost open bracket of its
+kind, which is inside the range whenever one there is open.
 """
 
 import re
 from itertools import accumulate, compress, repeat
 from operator import itemgetter, not_
-from typing import List, NamedTuple, Sequence
+from typing import List, Sequence
 
 from ..errors import ParseError
 
@@ -39,12 +44,6 @@ NUMBER = "number"
 STRING = "string"
 CHAR = "char"
 OP = "op"
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
 
 
 MODIFIER_WORDS = frozenset(
@@ -127,7 +126,21 @@ def _unclosed_opener(lexeme: str) -> str:
     return ""
 
 
-def tokenize(text: str, file_id: str = "<memory>") -> List[Token]:
+class Tokens:
+    """One file's tokens: ``texts``/``kinds`` (sentinel-ended), ``lines``,
+    and ``match``, the bracket table of ``texts``. ``len()`` counts tokens."""
+
+    def __init__(self, texts: List[str], kinds: List[str], lines: List[int]):
+        self.texts = texts
+        self.kinds = kinds
+        self.lines = lines
+        self.match = match_brackets(texts)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+def tokenize(text: str, file_id: str = "<memory>") -> Tokens:
     """Tokenize Java source; raises ParseError on malformed lexical input."""
     lexemes = _LEXEME.findall(text)
     del lexemes[lexemes.index(""):]  # "" is captured only at the end
@@ -136,15 +149,14 @@ def tokenize(text: str, file_id: str = "<memory>") -> List[Token]:
         if opener:
             line = text.count("\n") + 1 - lexemes[-1].count("\n")
             raise ParseError(file_id, line, _UNTERMINATED_MESSAGE[opener])
-    lines = list(range(1, text.count("\n") + 2))
-    starts = accumulate(map(str.count, lexemes, repeat("\n")), initial=0)
-    kinds = map(_KIND.__getitem__, map(itemgetter(0), lexemes))
-    keep = map(not_, map(str.startswith, lexemes, repeat(_NOT_TOKEN)))
-    rows = compress(zip(kinds, lexemes, map(lines.__getitem__, starts)), keep)
-    return list(map(tuple.__new__, repeat(Token), rows))
+    keep = list(map(not_, map(str.startswith, lexemes, repeat(_NOT_TOKEN))))
+    texts = list(compress(lexemes, keep))
+    kinds = map(_KIND.__getitem__, map(itemgetter(0), texts))
+    starts = accumulate(map(str.count, lexemes, repeat("\n")), initial=1)
+    return Tokens([*texts, ""], [*kinds, ""], list(compress(starts, keep)))
 
 
-def match_brackets(tokens: Sequence[Token]) -> List[int]:
+def match_brackets(texts: Sequence[str]) -> List[int]:
     """Index of each bracket token's partner; -1 for unpaired brackets and
     for every other token.
 
@@ -152,10 +164,9 @@ def match_brackets(tokens: Sequence[Token]) -> List[int]:
     open bracket of its kind whatever other kinds lie between, and a closer
     with no open bracket of its kind is left unpaired.
     """
-    partner = [-1] * len(tokens)
+    partner = [-1] * len(texts)
     open_at = {open_: [] for open_ in CLOSING}
-    for i, tok in enumerate(tokens):
-        t = tok.text
+    for i, t in enumerate(texts):
         if t not in _BRACKETS:
             continue
         if t in open_at:

@@ -1,11 +1,11 @@
 """Attribute-access resolution: shadowing, qualification, call targets."""
 
-from classaudit.javamodel import analyze_body, tokenize
+from classaudit.javamodel import analyze_body, parse_compilation_unit, tokenize
 
 
 def accesses(body, attrs, params=(), method="m"):
-    toks = tokenize("{" + body + "}")[1:-1]
-    found, _ = analyze_body(toks, set(attrs), list(params), method)
+    toks = tokenize("{" + body + "}")
+    found, _ = analyze_body(range(1, len(toks) - 1), toks, set(attrs), list(params), method)
     return found
 
 
@@ -113,3 +113,13 @@ def test_multi_declarator_locals_shadow():
 def test_access_inside_anonymous_class_counts_lexically():
     body = "return new Runnable() { public void run() { x = 1; } };"
     assert accesses(body, {"x"}) == {"x"}
+
+
+def test_paren_left_open_in_a_body_stays_open_there():
+    # The for's '(' pairs with the ')' in g in the file's table; within f it
+    # is open, so f holds no ';' after it, the loop is an enhanced for and
+    # its x is a local, not the attribute.
+    source = ("class A { int x; void f(java.util.List<Integer> xs) {"
+              " for (int x : xs } int y; void g() { ) } }")
+    (cls,) = parse_compilation_unit(source)
+    assert [m.accessed_attributes for m in cls.methods] == [set(), set()]

@@ -1,11 +1,12 @@
-"""match_brackets against a naive per-kind level-counting reference, and
+"""match_brackets against a naive per-kind level-counting reference, the
+whole-file table restricted to a range against the range's own table, and
 where the parser reports a bracket that never closes."""
 
 import random
 
 import pytest
 
-from classaudit.javamodel.tokens import IDENT, OP, Token, match_brackets
+from classaudit.javamodel.tokens import match_brackets
 from classaudit.pipeline import Diagnostics, ingest_sources
 
 PAIRS = {"(": ")", "[": "]", "{": "}"}
@@ -31,20 +32,30 @@ def reference_partners(texts):
     return partner
 
 
-def as_tokens(texts):
-    return [Token(IDENT if t.isalpha() else OP, t, 1) for t in texts]
-
-
 @pytest.mark.parametrize("seed", range(200))
 def test_match_brackets_equals_level_counting(seed):
     rng = random.Random(seed)
     texts = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 40))]
-    assert match_brackets(as_tokens(texts)) == reference_partners(texts)
+    assert match_brackets(texts) == reference_partners(texts)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_table_restricted_to_a_range_equals_the_range_own_table(seed):
+    """The body walker reads the file's table over a method body's range,
+    a partner outside it as -1; that must be the body's own table."""
+    rng = random.Random(seed)
+    texts = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 40))]
+    full = match_brackets(texts)
+    for _ in range(20):
+        lo = rng.randint(0, len(texts))
+        hi = rng.randint(lo, len(texts))
+        restricted = [j - lo if lo <= j < hi else -1 for j in full[lo:hi]]
+        assert restricted == match_brackets(texts[lo:hi]), (texts, lo, hi)
 
 
 def test_match_brackets_pairs_each_kind_on_its_own():
     texts = ["(", "{", ")", "}", "]", "["]
-    assert match_brackets(as_tokens(texts)) == [2, 3, 0, 1, -1, -1]
+    assert match_brackets(texts) == [2, 3, 0, 1, -1, -1]
 
 
 @pytest.mark.parametrize("source, line, reason", [

@@ -2,12 +2,13 @@
 
 from collections import Counter
 
-from classaudit.javamodel import analyze_body, tokenize
+from classaudit.javamodel import analyze_body, parse_compilation_unit, tokenize
+from classaudit.metrics import class_metrics
 
 
 def analyze(body, attrs=(), params=(), method="m"):
-    toks = tokenize("{" + body + "}")[1:-1]
-    _, events = analyze_body(toks, set(attrs), list(params), method)
+    toks = tokenize("{" + body + "}")
+    _, events = analyze_body(range(1, len(toks) - 1), toks, set(attrs), list(params), method)
     return Counter(kind for kind, _ in events), events
 
 
@@ -36,6 +37,15 @@ def test_else_if_chain_counts_every_if_but_flattens_events():
     kinds, events = analyze("if (a) {} else if (b) {} else {}")
     assert kinds["if"] + kinds["else_if"] == 2
     assert events == [("if", 0), ("else_if", 0), ("else", 0)]
+
+
+def test_long_else_if_chain_is_walked_without_recursion():
+    # Every link is flat, so a chain far past the recursion limit parses.
+    links = 5000
+    chain = "if (c) {}" + " else if (c) {}" * links
+    (cls,) = parse_compilation_unit("class A { void m(boolean c) { " + chain + " } }")
+    metrics = class_metrics(cls)
+    assert (metrics.cc_total, metrics.coco_total) == (links + 2, links + 1)
 
 
 def test_nesting_depth_if_for_for_if():

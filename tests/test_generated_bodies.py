@@ -151,8 +151,10 @@ def test_generated_bodies_match_constructed_expectations(seed):
     rng = random.Random(900_000 + seed)
     gen = BodyGen(rng)
     body = gen.statements(0, rng.randint(3, 10))
-    tokens = tokenize("{" + body + "}", f"gen{seed}.java")[1:-1]
-    accessed, events = analyze_body(tokens, set(), ["p0", "p1", "p2", "p3", "labels"], "m")
+    tokens = tokenize("{" + body + "}", f"gen{seed}.java")
+    accessed, events = analyze_body(
+        range(1, len(tokens) - 1), tokens, set(), ["p0", "p1", "p2", "p3", "labels"], "m"
+    )
     view = MethodView(
         name="m", is_static=False, parameter_types=[], accessed_attributes=accessed,
         events=events,

@@ -244,7 +244,7 @@ def test_analyze_body_reports_accesses_and_events():
     from classaudit.javamodel import analyze_body, tokenize
 
     toks = tokenize("if (a && b) { x = 1; } int y = 0; y++;")
-    accessed, events = analyze_body(toks, {"x", "y"}, (), "")
+    accessed, events = analyze_body(range(len(toks)), toks, {"x", "y"}, (), "")
     assert accessed == {"x"}
     assert events == [("if", 0), ("bool_run", 0)]
 

@@ -4,8 +4,22 @@ from classaudit.errors import ParseError
 from classaudit.javamodel.tokens import tokenize
 
 
+def triples(code):
+    toks = tokenize(code)
+    return list(zip(toks.kinds, toks.texts, toks.lines))
+
+
 def texts(code):
-    return [t.text for t in tokenize(code)]
+    return [text for _, text, _ in triples(code)]
+
+
+def test_stream_is_parallel_lists_ending_in_one_sentinel():
+    toks = tokenize("f(x)\n;")
+    assert len(toks) == 5
+    assert toks.texts == ["f", "(", "x", ")", ";", ""]
+    assert toks.kinds == ["ident", "op", "ident", "op", "op", ""]
+    assert toks.lines == [1, 1, 1, 1, 2]
+    assert toks.match == [-1, 3, -1, 1, -1, -1]
 
 
 def test_comments_and_whitespace_are_dropped():
@@ -14,33 +28,32 @@ def test_comments_and_whitespace_are_dropped():
 
 
 def test_string_literals_are_single_tokens():
-    toks = tokenize('String s = "a { b // } c";')
-    kinds = [(t.kind, t.text) for t in toks]
+    toks = triples('String s = "a { b // } c";')
+    kinds = [(kind, text) for kind, text, _ in toks]
     assert ("string", '"a { b // } c"') in kinds
-    assert sum(1 for t in toks if t.text == "{") == 0
+    assert sum(1 for _, text, _ in toks if text == "{") == 0
 
 
 def test_escaped_quote_inside_string():
-    toks = tokenize(r's = "a\"b";')
-    assert any(t.kind == "string" and t.text == r'"a\"b"' for t in toks)
+    toks = triples(r's = "a\"b";')
+    assert any(kind == "string" and text == r'"a\"b"' for kind, text, _ in toks)
 
 
 def test_char_literals():
-    toks = tokenize(r"char c = '\''; char d = 'x';")
-    chars = [t.text for t in toks if t.kind == "char"]
+    toks = triples(r"char c = '\''; char d = 'x';")
+    chars = [text for kind, text, _ in toks if kind == "char"]
     assert chars == [r"'\''", "'x'"]
 
 
 def test_text_block_spans_lines():
     code = 'String s = """\nline1\nline2\n""";\nint z;'
-    toks = tokenize(code)
-    z = [t for t in toks if t.text == "z"][0]
-    assert z.line == 5
+    z = [line for _, text, line in triples(code) if text == "z"][0]
+    assert z == 5
 
 
 def test_line_numbers():
-    toks = tokenize("a\nb\n\nc")
-    assert [(t.text, t.line) for t in toks] == [("a", 1), ("b", 2), ("c", 4)]
+    toks = triples("a\nb\n\nc")
+    assert [(text, line) for _, text, line in toks] == [("a", 1), ("b", 2), ("c", 4)]
 
 
 def test_closing_angles_never_fuse():
@@ -73,8 +86,8 @@ def test_numbers_with_suffixes_and_separators():
 
 
 def test_escaped_newline_in_string_counts_as_a_line():
-    toks = tokenize('"a\\\nb" x')
-    assert [(t.text, t.line) for t in toks] == [('"a\\\nb"', 1), ("x", 2)]
+    toks = triples('"a\\\nb" x')
+    assert [(text, line) for _, text, line in toks] == [('"a\\\nb"', 1), ("x", 2)]
     with pytest.raises(ParseError) as err:
         tokenize('"a\\\nb"\nint y;\n"open', "Bad.java")
     assert (err.value.line, err.value.message) == (4, "unterminated string literal")
@@ -117,4 +130,4 @@ def test_closed_literal_or_comment_at_the_end_is_not_unterminated(text, last):
     ("1.²", [("number", "1", 1), ("op", ".", 1), ("number", "²", 1)]),
 ])
 def test_non_decimal_numeric_characters_split_as_pinned(text, expected):
-    assert [tuple(t) for t in tokenize(text)] == expected
+    assert triples(text) == expected

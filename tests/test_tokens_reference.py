@@ -14,7 +14,7 @@ import pytest
 
 from classaudit.errors import ParseError
 from classaudit.javamodel.tokens import (
-    CHAR, IDENT, NUMBER, OP, STRING, Token, tokenize,
+    CHAR, IDENT, NUMBER, OP, STRING, tokenize,
 )
 
 FIXTURES = sorted(Path(__file__).parent.joinpath("fixtures").rglob("*.java"))
@@ -60,7 +60,7 @@ def reference_tokenize(text, file_id="<memory>"):
                     raise ParseError(file_id, line, "unterminated text block")
                 start_line = line
                 line += text.count("\n", i, j)
-                tokens.append(Token(STRING, text[i:j + 3], start_line))
+                tokens.append((STRING, text[i:j + 3], start_line))
                 i = j + 3
                 continue
             j = i + 1
@@ -75,7 +75,7 @@ def reference_tokenize(text, file_id="<memory>"):
                 j += 1
             if j >= n:
                 raise ParseError(file_id, line, "unterminated string literal")
-            tokens.append(Token(STRING, text[i:j + 1], line))
+            tokens.append((STRING, text[i:j + 1], line))
             line += text.count("\n", i, j)  # the line fix: escaped newlines count
             i = j + 1
             continue
@@ -92,7 +92,7 @@ def reference_tokenize(text, file_id="<memory>"):
                 j += 1
             if j >= n:
                 raise ParseError(file_id, line, "unterminated char literal")
-            tokens.append(Token(CHAR, text[i:j + 1], line))
+            tokens.append((CHAR, text[i:j + 1], line))
             line += text.count("\n", i, j)  # the line fix
             i = j + 1
             continue
@@ -106,39 +106,44 @@ def reference_tokenize(text, file_id="<memory>"):
                     j += 1
                 else:
                     break
-            tokens.append(Token(NUMBER, text[i:j], line))
+            tokens.append((NUMBER, text[i:j], line))
             i = j
             continue
         if ch.isalpha() or ch in "_$":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_$"):
                 j += 1
-            tokens.append(Token(IDENT, text[i:j], line))
+            tokens.append((IDENT, text[i:j], line))
             i = j
             continue
         if text.startswith("...", i):
-            tokens.append(Token(OP, "...", line))
+            tokens.append((OP, "...", line))
             i += 3
             continue
         two = text[i:i + 2]
         if two in TWO_CHAR_OPS:
-            tokens.append(Token(OP, two, line))
+            tokens.append((OP, two, line))
             i += 2
             continue
-        tokens.append(Token(OP, ch, line))
+        tokens.append((OP, ch, line))
         i += 1
     return tokens
 
 
+def triples(text, file_id):
+    toks = tokenize(text, file_id)
+    return list(zip(toks.kinds, toks.texts, toks.lines))
+
+
 def outcome(lex, text):
     try:
-        return [tuple(t) for t in lex(text, "F.java")]
+        return lex(text, "F.java")
     except ParseError as exc:
         return ("ParseError", exc.line, exc.message)
 
 
 def assert_same(text):
-    assert outcome(tokenize, text) == outcome(reference_tokenize, text), repr(text)
+    assert outcome(triples, text) == outcome(reference_tokenize, text), repr(text)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
@@ -159,7 +164,7 @@ def test_random_strings_equal_reference(seed):
 def test_token_mutated_fixtures_equal_reference(seed):
     rng = random.Random(seed)
     for path in FIXTURES:
-        texts = [t.text for t in reference_tokenize(path.read_text(encoding="utf-8"))]
+        texts = [text for _, text, _ in reference_tokenize(path.read_text(encoding="utf-8"))]
         for _ in range(3):
             mutated = list(texts)
             for _ in range(rng.randint(1, 4)):
