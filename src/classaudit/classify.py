@@ -52,6 +52,9 @@ class SuffixRules:
     exclusion_suffixes: Tuple[str, ...] = DEFAULT_EXCLUSION_SUFFIXES
 
     def __post_init__(self):
+        for name in ("utils_suffixes", "eror_suffixes", "exclusion_suffixes"):
+            # str.endswith takes a tuple of suffixes, not a list
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.utils_suffixes or not self.eror_suffixes:
             raise ValueError("suffix lists must be non-empty")
         if len(set(self.exclusion_suffixes)) != len(self.exclusion_suffixes):

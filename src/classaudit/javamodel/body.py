@@ -22,10 +22,9 @@ blocks, ternary branch operands, lambda bodies and anonymous/local class
 bodies are one deeper. ``try``/``finally`` blocks, plain ``{}`` blocks, and
 control-clause expressions stay at the construct's own depth.
 
-The walker reads the file's token lists over the body's index range and
-looks ahead as if the range were all there is (``""`` at and past its end).
-It jumps over groups by the file's bracket table, a partner past the range
-read as -1, which is the body's own table (see ``tokens``).
+The walker reads the file's token lists over the body's index range as if
+it were all there is: look-ahead past its end reads ``""``, and a bracket
+partner outside it reads -1, which is the body's own table (see ``tokens``).
 """
 
 from typing import List, Sequence, Set, Tuple
@@ -486,7 +485,7 @@ class _BodyWalker:
         """At '(': if the parenthesized group is a lambda parameter list,
         consume it plus the body and return True."""
         close = self.close_of(self.i)
-        if close < 0 or self.txt(close + 1 - self.i) != "->":
+        if close < 0 or close + 1 >= self.end or self.texts[close + 1] != "->":
             return False
         params = []
         depth_par = 0

@@ -6,9 +6,10 @@ bodies, and hands method bodies to the body analyzer. Nested named classes
 become independent units: their members are excluded from the enclosing
 class, while the enclosing line span still covers their text.
 
-Each file is tokenized, bracket-matched (``match_brackets``) and split into
-lines once; every class, method and parenthesis extent is a lookup in that
-table and every line count a slice of that list.
+Each file is tokenized, with its bracket table, and split into lines once.
+Token lists are indexed directly (their ``""`` sentinel is read past either
+end), extents are table lookups, line counts are slices of the line list,
+and each method body goes to the walker as an index range of the lists.
 """
 
 from typing import List, Sequence, Set, Tuple
@@ -48,7 +49,6 @@ class _UnitParser:
     def __init__(self, tokens: Tokens, source_text: str, file_id: str):
         self.toks = tokens
         self.n = len(tokens)
-        # texts/kinds end in a "" sentinel, so index n (and -1) reads "".
         self.texts = tokens.texts
         self.kinds = tokens.kinds
         self.lines = tokens.lines
@@ -266,9 +266,8 @@ class _UnitParser:
                 accessed: Set[str] = set()
                 events: List[Event] = []
             else:
-                accessed, events = analyze_body(
-                    range(*body_span), self.toks, attr_names, pnames, mname
-                )
+                span = range(*body_span)
+                accessed, events = analyze_body(span, self.toks, attr_names, pnames, mname)
             methods.append(
                 MethodView(
                     name=mname,

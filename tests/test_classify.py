@@ -190,3 +190,11 @@ def test_rules_file_missing_sections_keep_defaults(tmp_path):
 def test_duplicate_exclusions_rejected():
     with pytest.raises(ValueError):
         SuffixRules(exclusion_suffixes=("Logger", "Logger"))
+
+
+def test_suffix_lists_given_as_lists_classify_as_tuples():
+    rules = SuffixRules(utils_suffixes=["Helper"], exclusion_suffixes=["Server"])
+    assert rules.utils_suffixes == ("Helper",)
+    assert classify("StringHelper", False, rules).kind is GroupKind.UTILS
+    assert classify("WebServer", False, rules).kind is GroupKind.REST
+    assert classify("TaskManager", False, rules).kind is GroupKind.EROR

@@ -9,8 +9,6 @@ import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
