@@ -35,7 +35,7 @@ from .javamodel.model import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassMetrics:
     lcom5: Optional[float]
     nhd: Optional[float]

@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
@@ -20,7 +21,7 @@ from .javamodel.parser import parse_compilation_unit
 from .metrics import ClassMetrics, class_metrics
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassRecord:
     qualified_name: str
     origin: str
@@ -185,8 +186,11 @@ def ingest_cam_csv(
     """One record per CSV row; empty metric cells become undefined metrics.
 
     Rows with a missing name or size cell, a non-numeric metric cell, or a
-    count cell that is not a finite whole number are tallied and skipped;
-    a metric column absent from the header is fatal (MissingColumn).
+    count cell that is not a finite whole number are tallied and skipped,
+    reported at the file line where the row starts; a metric column absent
+    from the header is fatal (MissingColumn). As with csv.DictReader, blank
+    rows are skipped and not counted, a short row's missing cells are empty,
+    extra cells are ignored and a repeated header name binds its last column.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     for key in CAM_REQUIRED_KEYS:
@@ -194,48 +198,67 @@ def ingest_cam_csv(
             raise MissingColumn(f"column map does not bind '{key}'")
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
         for key in CAM_REQUIRED_KEYS:
-            if column_map[key] not in header:
+            if column_map[key] not in index:
                 raise MissingColumn(
                     f"CSV is missing column '{column_map[key]}' (bound to '{key}')"
                 )
         static_col = column_map.get("static")
-        if static_col is not None and static_col not in header:
+        if static_col is not None and static_col not in index:
             raise MissingColumn(f"CSV is missing column '{static_col}' (bound to 'static')")
         if static_col is None:
             diag.warnings.append(
                 "no static-member column mapped; treating every class as static-free"
             )
-        for lineno, row in enumerate(reader, start=2):
+        columns = [column_map[key] for key in _CAM_CELL_ORDER]
+        positions = [index[col] for col in columns]
+        static_at = index.get(static_col)
+        width = max(positions + [static_at or 0]) + 1
+        cells_of = itemgetter(*positions)
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
             diag.rows_seen += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            has_static = static_at is not None and _truthy(row[static_at])
             try:
-                record = _row_to_record(row, column_map, static_col, path, lineno,
-                                         rules, excluded_to)
+                record = _row_to_record(cells_of(row), columns, has_static, path, lineno,
+                                        rules, excluded_to)
             except RowParseError as exc:
                 diag.skip(path, lineno, str(exc))
                 continue
             yield record
 
 
-def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to) -> ClassRecord:
-    name = (row.get(column_map["name"]) or "").strip()
+# The order in which a row's cells are read and checked; the first bad cell
+# names the SKIP reason.
+_CAM_CELL_ORDER = (
+    "name", "loc", "blank", "lcom5", "nhd", "cc", "coco", "acoco", "mxcoco", "mncoco",
+)
+
+
+def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to) -> ClassRecord:
+    name, loc, blank, lcom5, nhd, cc, coco, acoco, mxcoco, mncoco = cells
+    (_, loc_col, blank_col, lcom5_col, nhd_col, cc_col, coco_col, acoco_col,
+     mxcoco_col, mncoco_col) = columns
+    name = name.strip()
     if not name:
         raise RowParseError("empty class name")
     simple = name.rsplit(".", 1)[-1].rsplit("$", 1)[-1]
-    loc = _cell_count(row, column_map["loc"], required=True)
-    blank = _cell_count(row, column_map["blank"], required=True)
-    lcom5_v = _cell_float(row, column_map["lcom5"])
-    nhd_v = _cell_float(row, column_map["nhd"])
-    cc_v = _cell_count(row, column_map["cc"])
-    coco_v = _cell_count(row, column_map["coco"])
-    acoco_v = _cell_float(row, column_map["acoco"])
-    mxcoco_v = _cell_count(row, column_map["mxcoco"])
-    mncoco_v = _cell_count(row, column_map["mncoco"])
-    has_static = False
-    if static_col is not None:
-        has_static = _truthy(row.get(static_col, ""))
+    loc = _cell_count(loc, loc_col, required=True)
+    blank = _cell_count(blank, blank_col, required=True)
+    lcom5_v = _cell_float(lcom5, lcom5_col)
+    nhd_v = _cell_float(nhd, nhd_col)
+    cc_v = _cell_count(cc, cc_col)
+    coco_v = _cell_count(coco, coco_col)
+    acoco_v = _cell_float(acoco, acoco_col)
+    mxcoco_v = _cell_count(mxcoco, mxcoco_col)
+    mncoco_v = _cell_count(mncoco, mncoco_col)
     metrics = ClassMetrics(
         lcom5=lcom5_v,
         nhd=nhd_v,
@@ -260,8 +283,16 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     )
 
 
-def _cell_float(row, col) -> Optional[float]:
-    raw = (row.get(col) or "").strip()
+# Both cell readers try float() on the raw cell first: it accepts the
+# surrounding whitespace that strip() removes, except the separators
+# \x1c-\x1f, so only a failed cell is stripped and tried once more.
+
+
+def _cell_float(raw: str, col: str) -> Optional[float]:
+    try:
+        return float(raw)
+    except ValueError:
+        raw = raw.strip()
     if raw == "":
         return None
     try:
@@ -270,20 +301,23 @@ def _cell_float(row, col) -> Optional[float]:
         raise RowParseError(f"bad numeric value {raw!r} in column {col!r}")
 
 
-def _cell_count(row, col, required=False) -> Optional[int]:
+def _cell_count(raw: str, col: str, required=False) -> Optional[int]:
     """A whole-number cell ("3", "3.0", "3e2"); None when empty and optional."""
-    raw = (row.get(col) or "").strip()
-    if raw == "":
-        if required:
-            raise RowParseError(f"missing value in column {col!r}")
-        return None
     try:
         value = float(raw)
-        if value.is_integer():  # false for nan and inf too
-            return int(value)
     except ValueError:
-        pass
-    raise RowParseError(f"bad integer value {raw!r} in column {col!r}")
+        raw = raw.strip()
+        if raw == "":
+            if required:
+                raise RowParseError(f"missing value in column {col!r}")
+            return None
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan  # reported below as a bad integer
+    if value.is_integer():  # false for nan and inf too
+        return int(value)
+    raise RowParseError(f"bad integer value {raw.strip()!r} in column {col!r}")
 
 
 def _truthy(raw: str) -> bool:
@@ -366,17 +400,15 @@ GROUP_ORDER = (GroupKind.EROR, GroupKind.UTILS, GroupKind.REST)
 
 
 def aggregate_groups(records: Iterable[ClassRecord]) -> List[GroupSummary]:
-    """One summary per group in fixed ErOr, Utils, Rest order.
+    """One summary per group in fixed ErOr, Utils, Rest order; a record of
+    any other kind (Dropped) is in no group.
 
     Means are fsum-based, so the result is identical for any record order.
     """
-    buckets: Dict[GroupKind, List[ClassRecord]] = {g: [] for g in GROUP_ORDER}
-    for record in records:
-        if record.label.kind in buckets:
-            buckets[record.label.kind].append(record)
+    records = list(records)
     summaries = []
     for kind in GROUP_ORDER:
-        group = buckets[kind]
+        group = [r for r in records if r.label.kind is kind]
         count = len(group)
         loc_total = sum(r.loc for r in group)
         summaries.append(

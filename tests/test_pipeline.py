@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +202,28 @@ def test_order_independence_bitwise():
         rng.shuffle(records)
         again = aggregate_groups(records)
         assert again == base  # fsum makes the means exactly order-independent
+
+
+def test_aggregate_takes_any_iterable_and_ignores_dropped():
+    records = [record(name="A", label=GroupKind.EROR, loc=11),
+               record(name="B", label=GroupKind.DROPPED, loc=500),
+               record(name="C", label=GroupKind.REST, loc=7)]
+    summaries = aggregate_groups(records)
+    assert aggregate_groups(iter(records)) == summaries
+    assert [(s.label, s.class_count, s.loc_total) for s in summaries] == [
+        (GroupKind.EROR, 1, 11), (GroupKind.UTILS, 0, 0), (GroupKind.REST, 1, 7)]
+
+
+def test_records_are_slotted_and_still_dataclasses():
+    rec = record(name="A", cc=3)
+    for obj in (rec, rec.metrics):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+    moved = replace(rec, origin="x:3", metrics=replace(rec.metrics, cc_total=9))
+    assert (moved.origin, moved.metrics.cc_total, rec.metrics.cc_total) == ("x:3", 9, 3)
+    assert asdict(moved)["metrics"] == asdict(moved.metrics)
+    assert asdict(moved)["metrics"]["cc_total"] == 9
 
 
 # ---- ingest_sources -------------------------------------------------------------------
@@ -403,6 +425,37 @@ def test_cam_csv_non_integral_count_cell_is_row_error(tmp_path, key, cell):
     assert [replace(r, origin="") for r in records] == [replace(r, origin="") for r in expected]
     for r in records:
         assert type(r.metrics.cc_total) is int and type(r.metrics.coco_total) is int
+
+
+def test_cam_csv_skip_line_is_where_the_row_starts(tmp_path):
+    good = "a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"
+    path = write_csv(tmp_path, [
+        good,                                            # line 2
+        "\n", "\n",                                      # lines 3-4: blank
+        "a.B,zzz,0.7,3,4,2.0,3,1,100,10,false\n",        # line 5
+        '"a.Multi\nLine",0.5,0.7,x,4,2.0,3,1,100,10,no\n',  # lines 6-7
+        "\r\n",                                          # line 8: blank
+        good.replace("a.C", "a.D"),                      # line 9
+    ])
+    diag = Diagnostics()
+    records = list(ingest_cam_csv(path, CSV_MAP, diagnostics=diag))
+    assert diag.lines == [
+        f"SKIP {path}:5 bad numeric value 'zzz' in column 'lcom5'",
+        f"SKIP {path}:6 bad integer value 'x' in column 'cc'",
+    ]
+    assert [r.origin for r in records] == [f"{path}:2", f"{path}:9"]
+    assert (diag.rows_seen, diag.skipped) == (4, 2)  # blank rows are not counted
+
+
+def test_cam_csv_short_long_rows_and_repeated_header(tmp_path):
+    header = CSV_HEADER.strip() + ",cc\n"  # a repeated name binds its last column
+    path = write_csv(tmp_path, [
+        "a.B,0.5,0.7,1,4,2.0,3,1,100,10\n",               # short: no static, no cc
+        "a.C,0.5,0.7,1,4,2.0,3,1,100,10,yes,8,extra\n",   # long: extra cell ignored
+    ], header=header)
+    records = list(ingest_cam_csv(path, CSV_MAP))
+    assert [(r.label.kind, r.metrics.cc_total, r.metrics_complete) for r in records] == [
+        (GroupKind.REST, 0, False), (GroupKind.DROPPED, 8, True)]
 
 
 def test_cam_csv_without_static_column_warns(tmp_path):
