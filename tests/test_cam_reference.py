@@ -148,14 +148,14 @@ def assert_same_as_reference(path, column_map=CAM_MAP):
     return new
 
 
-ODD_CELLS = st.sampled_from([
+ODD_CELLS = [
     "", " ", "3", "3.0", " 3.0 ", "4e0", "0", "-0", "12", "2.5", "0.75", "nan", "inf",
     "-inf", "1e400", "junk", " x ", "1_000", "\x1c3", "\x1c", "\t7\t",
     "1", "true", "yes", " Y ", "no", "false",
     "a.b.Manager", "com.x.StringUtils", "Outer$Inner", "p.Widget", "Logger",
-])
+]
 # Mostly whole numbers, which every column takes, so that many rows ingest.
-CELLS = st.one_of(*[st.sampled_from(["1", "2", "3", "40", "7.0"])] * 7, ODD_CELLS)
+CELLS = st.sampled_from(["1", "2", "3", "40", "7.0"] * 30 + ODD_CELLS)
 
 HEADERS = st.lists(
     st.sampled_from(COLUMNS + ["extra", "note"]), min_size=0, max_size=4,
@@ -187,7 +187,7 @@ def cam_csvs(draw):
 @given(text=cam_csvs(), with_static=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_ingest_matches_dictreader_reference(tmp_path_factory, text, with_static):
-    path = tmp_path_factory.mktemp("cam") / "cam.csv"
+    path = tmp_path_factory.getbasetemp() / "cam-reference.csv"  # one file, rewritten
     path.write_text(text, encoding="utf-8")
     column_map = CAM_MAP if with_static else DEFAULT_CAM_COLUMN_MAP
     assert_same_as_reference(path, column_map)
@@ -229,12 +229,3 @@ def test_header_only_file_has_no_records(tmp_path):
     assert (diag.rows_seen, diag.skipped, diag.lines) == (0, 0, [])
     assert_same_as_reference(path)
 
-
-def test_reference_raised_on_short_row_without_static_cell(tmp_path):
-    """The case the reference's one fix covers: a row that stops before the
-    static cell is static-free, not an AttributeError."""
-    path = tmp_path / "cam.csv"
-    path.write_text(",".join(COLUMNS) + "\na.b.Widget,0.5,0.7,3,4,2.0,3,1,100,10\n")
-    records = list(ingest_cam_csv(path, CAM_MAP))
-    assert len(records) == 1 and records[0].label.kind.value == "Rest"
-    assert_same_as_reference(path)
