@@ -6,7 +6,9 @@ class AuditError(Exception):
 
 
 class ParseError(AuditError):
-    """A source file could not be analyzed; the file is skipped, not fatal."""
+    """A file could not be read or analyzed: a source file is skipped as a
+    SKIP line, while a CAM CSV that is not valid UTF-8, or whose header the
+    csv module rejects, ends the run with an error line."""
 
     def __init__(self, file: str, line: int, message: str):
         super().__init__(f"{file}:{line}: {message}")

@@ -66,6 +66,7 @@ def analyze_body(
 
 class _BodyWalker:
     def __init__(self, span, tokens, attr_names, param_names, method_name):
+        self.toks = tokens
         self.texts = tokens.texts
         self.kinds = tokens.kinds
         self.match = tokens.match
@@ -219,11 +220,7 @@ class _BodyWalker:
             self.parse_local_type(depth)
             return
         if t == "@":
-            self.eat()
-            if self.kind() == IDENT:
-                self.eat()
-            if self.txt() == "(":
-                self.skip_parens()
+            self._skip_annotation()
             return
         if self.kind() == IDENT and self.txt(1) == ":" and self.txt(2) != ":":
             # statement label such as `outer:`
@@ -374,12 +371,21 @@ class _BodyWalker:
         """Consume an expression; returns with the stop token current.
 
         '}' and ';' are implicit hard stops unless explicitly requested.
-        Each call frame is one run context for boolean-operator sequences.
+        Each call frame is one run context for boolean-operator sequences,
+        and so is a ternary's last operand, which continues the loop one
+        level deeper (a ternary chain needs no recursion) up to a ','.
         """
         last_bool = None
+        resume = None  # (stop, depth) that a ',' after a ternary goes back to
         while self.i < self.end:
             t = self.txt()
             if t in stop or (t in ("}", ";") and t not in stop):
+                if t == "," and resume:
+                    stop, depth = resume
+                    resume = None
+                    last_bool = None
+                    self.eat()
+                    continue
                 return
             if t == "(":
                 if self._try_lambda_params(depth, stop):
@@ -424,12 +430,12 @@ class _BodyWalker:
                 self.eat()
                 self.parse_expr({":"}, depth + 1)
                 self.eat_if(":")
-                self.parse_expr(stop | {","}, depth + 1)
-                if self.txt() == "," and "," not in stop:
-                    last_bool = None
-                    self.eat()
-                    continue
-                return
+                if "," not in stop:
+                    resume = (stop, depth)
+                    stop = stop | {","}
+                depth += 1
+                last_bool = None
+                continue
             if t == ":":
                 last_bool = None
                 self.eat()
@@ -488,27 +494,10 @@ class _BodyWalker:
         if close < 0 or close + 1 >= self.end or self.texts[close + 1] != "->":
             return False
         params = []
-        depth_par = 0
-        depth_angle = 0
-        seg_last_ident = None
-        for j in range(self.i + 1, close):
-            t = self.texts[j]
-            if t in ("(", "["):
-                depth_par += 1
-            elif t in (")", "]"):
-                depth_par -= 1
-            elif t == "<":
-                depth_angle += 1
-            elif t == ">":
-                depth_angle = max(0, depth_angle - 1)
-            elif t == "," and depth_par == 0 and depth_angle == 0:
-                if seg_last_ident:
-                    params.append(seg_last_ident)
-                seg_last_ident = None
-            elif self.kinds[j] == IDENT:
-                seg_last_ident = t
-        if seg_last_ident:
-            params.append(seg_last_ident)
+        for item in self.toks.split_commas(self.i + 1, close):
+            idents = [j for j in item if self.kinds[j] == IDENT]
+            if idents:
+                params.append(self.texts[idents[-1]])
         self.skip_parens()
         self.eat()  # '->'
         self.push_scope(params)
@@ -549,11 +538,7 @@ class _BodyWalker:
         while self.txt() in _DECL_HEAD_SKIP:
             self.eat()
         if self.txt() == "@":  # local annotation
-            self.eat()
-            if self.kind() == IDENT:
-                self.eat()
-            if self.txt() == "(":
-                self.skip_parens()
+            self._skip_annotation()
         ok = self._scan_type()
         if ok and self.kind() == IDENT and self.txt() not in PRIMITIVE_TYPES:
             name = self.txt()
@@ -638,6 +623,17 @@ class _BodyWalker:
             close = self.end - 1
         self.i = close + 1
         self.last = self.texts[close]
+
+    def _skip_annotation(self):
+        """At '@': eat it, the annotation's dotted name and its arguments."""
+        self.eat()
+        if self.kind() == IDENT:
+            self.eat()
+            while self.txt() == "." and self.kind(1) == IDENT:
+                self.eat()
+                self.eat()
+        if self.txt() == "(":
+            self.skip_parens()
 
     def _record_decl_ahead(self) -> bool:
         return (

@@ -8,8 +8,9 @@ class, while the enclosing line span still covers their text.
 
 Each file is tokenized, with its bracket table, and split into lines once.
 Token lists are indexed directly (their ``""`` sentinel is read past either
-end), extents are table lookups, line counts are slices of the line list,
-and each method body goes to the walker as an index range of the lists.
+end), bracket extents are table lookups, parameter lists are cut by
+``Tokens.split_commas``, line counts are slices of the line list, and each
+method body goes to the walker as an index range of the lists.
 """
 
 from typing import List, Sequence, Set, Tuple
@@ -299,38 +300,28 @@ class _UnitParser:
         fields `types` carries the declarator names. None when the tokens
         cannot be understood (caller advances one token).
         """
-        start = i
-        if self.texts[i] == "<":  # generic method type parameters
-            level = 0
-            while i < end:
-                if self.texts[i] == "<":
-                    level += 1
-                elif self.texts[i] == ">":
-                    level -= 1
-                    if level == 0:
-                        i += 1
-                        break
-                i += 1
-        # find the first structural delimiter at angle/bracket depth 0
-        j = i
+        # The first delimiter at angle depth 0. A generic member's head starts
+        # after its type parameters, where the depth first returns to 0.
+        head = -1 if self.texts[i] == "<" else i
         angle = 0
-        first_delim = None
+        j = i
         while j < end:
             t = self.texts[j]
             if t == "<":
                 angle += 1
             elif t == ">":
                 angle = max(0, angle - 1)
-            elif angle == 0 and t in ("(", "=", ";", ",", "{", "}"):
-                first_delim = t
+                if head < 0 and not angle:
+                    head = j + 1
+            elif not angle and t in ("(", "=", ";", ",", "{", "}"):
                 break
             j += 1
-        if first_delim is None:
+        else:
             return None
-        if first_delim == "(":
-            return self._parse_callable(start, i, j, end, class_name)
-        if first_delim in ("=", ";", ","):
-            return self._parse_field(i, j, end)
+        if t == "(":
+            return self._parse_callable(i, head, j, end, class_name)
+        if t in ("=", ";", ","):
+            return self._parse_field(head, j, end)
         return None
 
     def _parse_field(self, type_start: int, delim: int, end: int):
@@ -359,18 +350,11 @@ class _UnitParser:
         return (end, "field", "", names, [], (0, 0))
 
     def _skip_initializer(self, i: int, end: int) -> int:
-        """Skip an initializer expression up to a top-level ',' or ';'."""
-        level = 0
-        while i < end:
-            t = self.texts[i]
-            if t in ("(", "[", "{"):
-                level += 1
-            elif t in (")", "]", "}"):
-                level -= 1
-            elif level == 0 and t in (",", ";"):
-                return i
-            i += 1
-        return i
+        """Skip an initializer expression up to a ',' or ';' outside its
+        bracket groups, or to ``end``."""
+        while i < end and self.texts[i] not in (",", ";"):
+            i = max(self.match[i], i) + 1
+        return min(i, end)
 
     def _parse_callable(self, decl_start: int, head: int, paren: int, end: int, class_name: str):
         name_idx = paren - 1
@@ -402,27 +386,11 @@ class _UnitParser:
         """Parameter list between ( and ): normalized types + names."""
         types: List[str] = []
         names: List[str] = []
-        seg_start = i
-        level = 0
-        angle = 0
-        j = i
-        while j <= close:
-            t = self.texts[j] if j < close else ","
-            if j < close and t in ("(", "["):
-                level += 1
-            elif j < close and t in (")", "]"):
-                level -= 1
-            elif j < close and t == "<":
-                angle += 1
-            elif j < close and t == ">":
-                angle = max(0, angle - 1)
-            if (t == "," and level == 0 and angle == 0) or j == close:
-                seg = self._param_segment(seg_start, j)
-                if seg is not None:
-                    types.append(seg[0])
-                    names.append(seg[1])
-                seg_start = j + 1
-            j += 1
+        for item in self.toks.split_commas(i, close):
+            seg = self._param_segment(item.start, item.stop)
+            if seg is not None:
+                types.append(seg[0])
+                names.append(seg[1])
         return types, names
 
     def _param_segment(self, i: int, end: int):

@@ -25,11 +25,15 @@ matches as one lexeme running to the end of the text, so it can only be the
 last lexeme, and matching that one against its closed form finds it.
 
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
-in one pass, once per file, so the structural passes find the extent of a
-group by one lookup instead of rescanning from its opener. Over a range
-of the stream, a partner outside it read as -1, the file's table equals
-the range's own: a closer pairs with the innermost open bracket of its
-kind, which is inside the range whenever one there is open.
+in one pass, once per file; the parser and the body walker find the extent
+of every such group in that table, by one lookup. Over a range of the
+stream, a partner outside it read as -1, the file's table equals the
+range's own: a closer pairs with the innermost open bracket of its kind,
+which is inside the range whenever one there is open. ``split_commas``
+jumps groups by the table and counts only ``<>``, which the table cannot
+hold, ``<`` being also less-than. On malformed input, a scan over a range
+takes an unpaired bracket as an ordinary token, and ends at a group whose
+partner lies past its end.
 """
 
 import re
@@ -138,6 +142,29 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.lines)
+
+    def split_commas(self, lo: int, hi: int) -> List[range]:
+        """The comma-separated items of ``[lo, hi)``: a comma splits only
+        outside every bracket group and at ``<>`` depth 0 (floored at 0)."""
+        texts, match = self.texts, self.match
+        items = []
+        angle = 0
+        i = start = lo
+        while i < hi:
+            t = texts[i]
+            j = match[i]
+            if j > i:  # a group: jump it, and past hi end the scan
+                i = j
+            elif t == "<":
+                angle += 1
+            elif t == ">":
+                angle = max(0, angle - 1)
+            elif t == "," and not angle:
+                items.append(range(start, i))
+                start = i + 1
+            i += 1
+        items.append(range(start, hi))
+        return items
 
 
 def tokenize(text: str, file_id: str = "<memory>") -> Tokens:

@@ -187,10 +187,13 @@ def ingest_cam_csv(
 
     Rows with a missing name or size cell, a non-numeric metric cell, or a
     count cell that is not a finite whole number are tallied and skipped,
-    reported at the file line where the row starts; a metric column absent
-    from the header is fatal (MissingColumn). As with csv.DictReader, blank
-    rows are skipped and not counted, a short row's missing cells are empty,
-    extra cells are ignored and a repeated header name binds its last column.
+    reported at the file line where the row starts, and so is a row the csv
+    module rejects. A metric column absent from the header is fatal
+    (MissingColumn), and so are a header the csv module rejects and bytes
+    that are not UTF-8 (ParseError, the latter at line 0). As with
+    csv.DictReader, blank rows are skipped and not counted, a short row's
+    missing cells are empty, extra cells are ignored and a repeated header
+    name binds its last column.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     for key in CAM_REQUIRED_KEYS:
@@ -199,40 +202,54 @@ def ingest_cam_csv(
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        for key in CAM_REQUIRED_KEYS:
-            if column_map[key] not in index:
-                raise MissingColumn(
-                    f"CSV is missing column '{column_map[key]}' (bound to '{key}')"
+        try:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            for key in CAM_REQUIRED_KEYS:
+                if column_map[key] not in index:
+                    raise MissingColumn(
+                        f"CSV is missing column '{column_map[key]}' (bound to '{key}')"
+                    )
+            static_col = column_map.get("static")
+            if static_col is not None and static_col not in index:
+                raise MissingColumn(f"CSV is missing column '{static_col}' (bound to 'static')")
+            if static_col is None:
+                diag.warnings.append(
+                    "no static-member column mapped; treating every class as static-free"
                 )
-        static_col = column_map.get("static")
-        if static_col is not None and static_col not in index:
-            raise MissingColumn(f"CSV is missing column '{static_col}' (bound to 'static')")
-        if static_col is None:
-            diag.warnings.append(
-                "no static-member column mapped; treating every class as static-free"
-            )
-        columns = [column_map[key] for key in _CAM_CELL_ORDER]
-        positions = [index[col] for col in columns]
-        static_at = index.get(static_col)
-        width = max(positions + [static_at or 0]) + 1
-        cells_of = itemgetter(*positions)
-        start = reader.line_num + 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1
-            if not row:
-                continue
-            diag.rows_seen += 1
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            has_static = static_at is not None and _truthy(row[static_at])
-            try:
-                record = _row_to_record(cells_of(row), columns, has_static, path, lineno,
-                                        rules, excluded_to)
-            except RowParseError as exc:
-                diag.skip(path, lineno, str(exc))
-                continue
-            yield record
+            columns = [column_map[key] for key in _CAM_CELL_ORDER]
+            positions = [index[col] for col in columns]
+            static_at = index.get(static_col)
+            width = max(positions + [static_at or 0]) + 1
+            cells_of = itemgetter(*positions)
+            start = reader.line_num + 1
+            while True:
+                try:
+                    for row in reader:
+                        lineno, start = start, reader.line_num + 1
+                        if not row:
+                            continue
+                        diag.rows_seen += 1
+                        if len(row) < width:
+                            row += [""] * (width - len(row))
+                        has_static = static_at is not None and _truthy(row[static_at])
+                        try:
+                            record = _row_to_record(cells_of(row), columns, has_static, path,
+                                                    lineno, rules, excluded_to)
+                        except RowParseError as exc:
+                            diag.skip(path, lineno, str(exc))
+                            continue
+                        yield record
+                    break
+                except csv.Error as exc:  # the reader goes on at the next line
+                    diag.rows_seen += 1
+                    diag.skip(path, start, str(exc))
+                    start = reader.line_num + 1
+        except UnicodeDecodeError as exc:
+            # Decoded in chunks, so no row line is known.
+            raise ParseError(path, 0, f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, "
+                                      f"{exc.reason}") from None
+        except csv.Error as exc:  # the header's; a row's is a SKIP above
+            raise ParseError(path, reader.line_num, str(exc)) from None
 
 
 # The order in which a row's cells are read and checked; the first bad cell

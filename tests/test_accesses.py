@@ -123,3 +123,11 @@ def test_paren_left_open_in_a_body_stays_open_there():
               " for (int x : xs } int y; void g() { ) } }")
     (cls,) = parse_compilation_unit(source)
     assert [m.accessed_attributes for m in cls.methods] == [set(), set()]
+
+
+def test_annotation_arguments_in_a_body_are_not_accesses():
+    for annotation in ("@C(x)", "@a.b.C(x)"):
+        source = "class A { int x; void f() { " + annotation + " int z = 1; } }"
+        (cls,) = parse_compilation_unit(source)
+        assert cls.methods[0].accessed_attributes == set(), annotation
+    assert accesses("for (@a.b.C(x) int z : zs) { }", {"x"}) == set()

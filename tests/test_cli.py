@@ -113,6 +113,17 @@ def test_cam_mode_roundtrip(tmp_path):
     assert doc["cohesion"][0]["lcom5"] == 0.5
 
 
+def test_cam_mode_csv_not_utf8_is_an_error_line(tmp_path):
+    csv_path = tmp_path / "cam.csv"
+    csv_path.write_bytes(
+        b"class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
+        b"p.C\xffManager,0.5,0.7,3,4,2.0,3,1,100,10\n"
+    )
+    code, out, err = run_cli(["--mode=cam", f"--input={csv_path}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {csv_path}:0: not valid UTF-8: byte 0xff, invalid start byte\n"
+
+
 def test_multiple_inputs(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -120,6 +120,23 @@ def test_ternary_counts_and_nests():
     assert events == [("ternary", 0), ("ternary", 1)]
 
 
+def test_ternary_chain_resumes_its_enclosing_expression_at_a_comma():
+    _, events = analyze("f(a ? 1 : b ? 2 : c && d, e ? 3 : 4 || g);")
+    assert events == [("ternary", 0), ("ternary", 1), ("bool_run", 2),
+                      ("ternary", 0), ("bool_run", 1)]
+    _, events = analyze("int x = a ? 1 : b ? 2 : 3, y = c && d;")
+    assert events == [("ternary", 0), ("ternary", 1), ("bool_run", 0)]
+
+
+def test_long_ternary_chain_is_walked_without_recursion():
+    # Each link's last operand is one level deeper but needs no new frame.
+    links = 5000
+    chain = "".join(f"c{k} ? {k} : " for k in range(links)) + f"{links}"
+    (cls,) = parse_compilation_unit("class A { int m() { return " + chain + "; } }")
+    metrics = class_metrics(cls)
+    assert (metrics.cc_total, metrics.coco_total) == (links + 1, links * (links + 1) // 2)
+
+
 def test_generic_wildcard_is_not_a_ternary():
     kinds, _ = analyze("Map<?, ? extends Foo> m = get();")
     assert kinds["ternary"] == 0

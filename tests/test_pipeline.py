@@ -1,5 +1,6 @@
 """Ingestion, quantile filtering, and aggregation."""
 
+import csv
 import io
 import os
 import random
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import classaudit
 from classaudit import pipeline
 from classaudit.classify import GroupKind, GroupLabel
-from classaudit.errors import EmptyInput, MissingColumn
+from classaudit.errors import EmptyInput, MissingColumn, ParseError
 from classaudit.metrics import ClassMetrics
 from classaudit.pipeline import (
     ClassRecord,
@@ -445,6 +446,44 @@ def test_cam_csv_skip_line_is_where_the_row_starts(tmp_path):
     ]
     assert [r.origin for r in records] == [f"{path}:2", f"{path}:9"]
     assert (diag.rows_seen, diag.skipped) == (4, 2)  # blank rows are not counted
+
+
+def test_cam_csv_row_the_csv_module_rejects_is_skipped(tmp_path):
+    good = "a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"
+    huge = "x" * (csv.field_size_limit() + 1)
+    path = write_csv(tmp_path, [
+        good,                                            # line 2
+        f"a.B,{huge},0.7,3,4,2.0,3,1,100,10,false\n",    # line 3: cell over the limit
+        good.replace("a.C", "a.D"),                      # line 4
+    ])
+    diag = Diagnostics()
+    records = list(ingest_cam_csv(path, CSV_MAP, diagnostics=diag))
+    limit = csv.field_size_limit()
+    assert diag.lines == [f"SKIP {path}:3 field larger than field limit ({limit})"]
+    assert [r.origin for r in records] == [f"{path}:2", f"{path}:4"]
+    assert (diag.rows_seen, diag.skipped) == (3, 1)
+
+
+def test_cam_csv_header_the_csv_module_rejects_is_a_parse_error(tmp_path):
+    huge = "x" * (csv.field_size_limit() + 1)
+    path = write_csv(tmp_path, ["a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"],
+                     header=CSV_HEADER.replace("blanks", huge))
+    with pytest.raises(ParseError) as info:
+        list(ingest_cam_csv(path, CSV_MAP))
+    limit = csv.field_size_limit()
+    assert str(info.value) == f"{path}:1: field larger than field limit ({limit})"
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_cam_csv_not_utf8_is_a_parse_error_at_line_0(tmp_path, line):
+    good = b"a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"
+    lines = [CSV_HEADER.encode(), good, good]
+    lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+    path = tmp_path / "cam.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        list(ingest_cam_csv(path, CSV_MAP))
+    assert str(info.value) == f"{path}:0: not valid UTF-8: byte 0xff, invalid start byte"
 
 
 def test_cam_csv_short_long_rows_and_repeated_header(tmp_path):
