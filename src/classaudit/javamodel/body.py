@@ -14,7 +14,8 @@ attribute access when it matches a declared attribute, is not qualified by
 ``.``/``::``/``new``, is not a call (`name(` is an invocation, fields and
 methods live in separate namespaces), and is not shadowed by a parameter or
 a local declared earlier in an enclosing scope. ``this.name`` always counts,
-shadowed or not. Scoping is block-granular, no flow analysis.
+shadowed or not. Scoping is block-granular, no flow analysis. In an arrow-form
+``case`` label, ``A ->`` ends the label: it is never a lambda.
 
 Nesting-depth convention (pinned so hand oracles can match it): the method
 body is depth 0; bodies of if/else branches, loops, switch blocks, catch
@@ -22,9 +23,15 @@ blocks, ternary branch operands, lambda bodies and anonymous/local class
 bodies are one deeper. ``try``/``finally`` blocks, plain ``{}`` blocks, and
 control-clause expressions stay at the construct's own depth.
 
-The walker reads the file's token lists over the body's index range as if
-it were all there is: look-ahead past its end reads ``""``, and a bracket
-partner outside it reads -1, which is the body's own table (see ``tokens``).
+The walker reads the file's token lists in place, over the body's index
+range ``span``. The token at ``span.stop`` must be the body's closing ``}``
+or the stream's ``""`` sentinel; ``analyze_body`` checks this once. The
+cursor never passes ``span.stop``, and every look-ahead reads past a token
+only after testing it for something neither ``}`` nor ``""`` is, so no read
+goes beyond ``span.stop`` and the walk sees the body as if it were all there
+is. The token before the cursor reads as ``""`` at ``span.start``. A bracket
+partner outside the body reads -1, which is the body's own table (see
+``tokens``).
 """
 
 from typing import List, Sequence, Set, Tuple
@@ -49,6 +56,20 @@ _DECL_HEAD_SKIP = frozenset({"final"})
 # Identifier may not be an access when directly preceded by one of these.
 _QUALIFIER_PREV = frozenset({".", "::", "new", "@", "instanceof"})
 _VALUE_KEYWORDS = frozenset({"null", "true", "false"})
+# Tokens parse_expr handles by text; any other token is an identifier or
+# is simply eaten, unless it stops the expression.
+_EXPR_SPECIAL = frozenset({
+    "}", ";", "(", "[", "{", "&&", "||", ",", "?", ":", "switch", "instanceof",
+})
+# Tokens that end a type inside `<...>` as an expression instead.
+_NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/"})
+_SEMI = frozenset({";"})
+_RPAREN = frozenset({")"})
+_RBRACKET = frozenset({"]"})
+_RBRACE = frozenset({"}"})
+_COLON = frozenset({":"})
+_CASE_LABEL = frozenset({":", "->"})
+_RESOURCE_END = frozenset({";", ")"})
 
 
 def analyze_body(
@@ -58,7 +79,14 @@ def analyze_body(
     param_names: Sequence[str],
     method_name: str,
 ) -> Tuple[Set[str], List[Event]]:
-    """Analyze the tokens at ``span``: a method's, between its braces."""
+    """Analyze the tokens at ``span``: a method's, between its braces.
+
+    Raises ``ValueError`` unless ``0 <= span.start <= span.stop`` and the
+    token at ``span.stop`` is ``}`` or the stream's ``""`` sentinel.
+    """
+    texts = tokens.texts
+    if not (0 <= span.start <= span.stop < len(texts) and texts[span.stop] in ("}", "")):
+        raise ValueError(f"body span {span} does not end at a '}}' or the stream's end")
     walker = _BodyWalker(span, tokens, attr_names, param_names, method_name)
     walker.run()
     return walker.accessed, walker.events
@@ -71,23 +99,19 @@ class _BodyWalker:
         self.kinds = tokens.kinds
         self.match = tokens.match
         self.i = span.start
+        self.start = span.start
         self.end = span.stop
         self.attrs = set(attr_names)
         self.method_name = method_name
         self.scopes: List[Set[str]] = [set(param_names)]
         self.accessed: Set[str] = set()
         self.events: List[Event] = []
-        self.last = ""  # text of the token eaten last
 
     # ---- cursor helpers -------------------------------------------------
 
-    def txt(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.texts[j] if j < self.end else ""
-
-    def kind(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.kinds[j] if j < self.end else ""
+    def prev(self, i: int) -> str:
+        """Text of the token before index i inside the body, else ""."""
+        return self.texts[i - 1] if i > self.start else ""
 
     def close_of(self, i: int) -> int:
         """Partner of the opener at i inside the body, else -1."""
@@ -96,12 +120,12 @@ class _BodyWalker:
 
     def eat(self):
         if self.i < self.end:
-            self.last = self.texts[self.i]
             self.i += 1
 
     def eat_if(self, text: str) -> bool:
-        if self.txt() == text:
-            self.eat()
+        """Eat the current token if it reads ``text``, never ``}`` or ``""``."""
+        if self.texts[self.i] == text:
+            self.i += 1
             return True
         return False
 
@@ -111,21 +135,24 @@ class _BodyWalker:
         self.scopes.append(set(names))
 
     def pop_scope(self):
-        if len(self.scopes) > 1:
-            self.scopes.pop()
+        self.scopes.pop()
 
     def declare(self, name: str):
         self.scopes[-1].add(name)
 
     def is_shadowed(self, name: str) -> bool:
-        return any(name in scope for scope in self.scopes)
+        for scope in self.scopes:
+            if name in scope:
+                return True
+        return False
 
     # ---- entry -----------------------------------------------------------
 
     def run(self):
-        while self.i < self.end:
-            if self.txt() == "}":
-                self.eat()  # unbalanced close; tolerate
+        texts, end = self.texts, self.end
+        while self.i < end:
+            if texts[self.i] == "}":
+                self.i += 1  # unbalanced close; tolerate
                 continue
             self.parse_statement(0)
 
@@ -133,16 +160,17 @@ class _BodyWalker:
 
     def parse_block(self, depth: int):
         """Statements until the matching '}' (opening brace already eaten)."""
-        while self.i < self.end:
-            if self.txt() == "}":
-                self.eat()
+        texts, end = self.texts, self.end
+        while self.i < end:
+            if texts[self.i] == "}":
+                self.i += 1
                 return
             self.parse_statement(depth)
 
     def embedded(self, depth: int):
         """Body of a control construct: block or single statement."""
-        if self.txt() == "{":
-            self.eat()
+        if self.texts[self.i] == "{":
+            self.i += 1
             self.push_scope()
             self.parse_block(depth)
             self.pop_scope()
@@ -150,12 +178,14 @@ class _BodyWalker:
             self.parse_statement(depth)
 
     def parse_statement(self, depth: int):
-        t = self.txt()
+        texts, kinds = self.texts, self.kinds
+        i = self.i
+        t = texts[i]
         if t == ";":
-            self.eat()
+            self.i = i + 1
             return
         if t == "{":
-            self.eat()
+            self.i = i + 1
             self.push_scope()
             self.parse_block(depth)  # plain block, no nesting increment
             self.pop_scope()
@@ -167,13 +197,13 @@ class _BodyWalker:
             self.parse_for(depth)
             return
         if t == "while":
-            self.eat()
+            self.i = i + 1
             self.events.append((EVENT_LOOP, depth))
             self.parse_paren_expr(depth)
             self.embedded(depth + 1)
             return
         if t == "do":
-            self.eat()
+            self.i = i + 1
             self.events.append((EVENT_LOOP, depth))
             self.embedded(depth + 1)
             if self.eat_if("while"):  # tail condition, not a second loop
@@ -187,7 +217,7 @@ class _BodyWalker:
             self.parse_try(depth)
             return
         if t == "synchronized":
-            self.eat()
+            self.i = i + 1
             self.parse_paren_expr(depth)
             if self.eat_if("{"):
                 self.push_scope()
@@ -195,46 +225,41 @@ class _BodyWalker:
                 self.pop_scope()
             return
         if t in ("return", "throw"):
-            self.eat()
-            if self.txt() != ";":
-                self.parse_expr({";"}, depth)
+            self.i = i + 1
+            if texts[i + 1] != ";":
+                self.parse_expr(_SEMI, depth)
             self.eat_if(";")
             return
         if t in ("break", "continue"):
-            self.eat()
-            if self.kind() == IDENT and self.txt() not in ("case", "default"):
-                self.eat()  # jump label, never an attribute access
+            i += 1
+            if kinds[i] == IDENT and texts[i] not in ("case", "default"):
+                i += 1  # jump label, never an attribute access
+            self.i = i
             self.eat_if(";")
             return
-        if t == "assert":
-            self.eat()
-            self.parse_expr({";"}, depth)
+        if t == "assert" or (t == "yield" and texts[i + 1] != "="):
+            self.i = i + 1
+            self.parse_expr(_SEMI, depth)
             self.eat_if(";")
             return
-        if t == "yield" and self.txt(1) != "=":
-            self.eat()
-            self.parse_expr({";"}, depth)
-            self.eat_if(";")
-            return
-        if t in ("class", "interface", "enum") or self._record_decl_ahead():
+        if t in ("class", "interface", "enum") or (
+            t == "record" and kinds[i + 1] == IDENT and texts[i + 2] == "("
+        ):
             self.parse_local_type(depth)
             return
         if t == "@":
             self._skip_annotation()
             return
-        if self.kind() == IDENT and self.txt(1) == ":" and self.txt(2) != ":":
-            # statement label such as `outer:`
-            self.eat()
-            self.eat()
+        if kinds[i] == IDENT and texts[i + 1] == ":" and texts[i + 2] != ":":
+            self.i = i + 2  # statement label such as `outer:`
             return
         # declaration or expression statement
         if self.try_parse_declaration(depth, terminators=(";",)):
             self.eat_if(";")
             return
-        before = self.i
-        self.parse_expr({";"}, depth)
+        self.parse_expr(_SEMI, depth)
         self.eat_if(";")
-        if self.i == before:
+        if self.i == i:
             self.eat()  # guarantee progress on malformed input
 
     def parse_if(self, depth: int):
@@ -251,54 +276,56 @@ class _BodyWalker:
         self.embedded(depth + 1)
 
     def parse_for(self, depth: int):
-        self.eat()  # 'for'
+        texts = self.texts
+        self.i += 1  # 'for'
         self.events.append((EVENT_LOOP, depth))
-        if self.txt() != "(":
+        if texts[self.i] != "(":
             self.embedded(depth + 1)
             return
         classic = self._for_control_has_semicolon()
-        self.eat()  # '('
+        self.i += 1  # '('
         self.push_scope()
         if classic:
             if not self.eat_if(";"):
                 if not self.try_parse_declaration(depth, terminators=(";",)):
-                    self.parse_expr({";"}, depth)
+                    self.parse_expr(_SEMI, depth)
                 self.eat_if(";")
-            if self.txt() != ";":
-                self.parse_expr({";"}, depth)
+            if texts[self.i] != ";":
+                self.parse_expr(_SEMI, depth)
             self.eat_if(";")
-            if self.txt() != ")":
-                self.parse_expr({")"}, depth)
+            if texts[self.i] != ")":
+                self.parse_expr(_RPAREN, depth)
             self.eat_if(")")
         else:
             if self.try_parse_declaration(depth, terminators=(":",)):
                 self.eat_if(":")
-            self.parse_expr({")"}, depth)
+            self.parse_expr(_RPAREN, depth)
             self.eat_if(")")
         self.embedded(depth + 1)
         self.pop_scope()
 
     def parse_switch(self, depth: int):
-        self.eat()  # 'switch'
+        texts, end = self.texts, self.end
+        self.i += 1  # 'switch'
         self.events.append((EVENT_SWITCH, depth))
         self.parse_paren_expr(depth)
         if not self.eat_if("{"):
             return
         self.push_scope()
-        while self.i < self.end and self.txt() != "}":
-            t = self.txt()
+        while self.i < end:
+            t = texts[self.i]
+            if t == "}":
+                self.i += 1
+                break
             if t == "case":
-                self.eat()
+                self.i += 1
                 self.events.append((EVENT_CASE, depth))
-                self.parse_expr({":", "->"}, depth)
-            elif t == "default":
-                self.eat()
-            elif t == ":":
-                self.eat()
+                self.parse_expr(_CASE_LABEL, depth)
+            elif t in ("default", ":"):
+                self.i += 1
             elif t == "->":
-                self.eat()
-                if self.txt() == "{":
-                    self.eat()
+                self.i += 1
+                if self.eat_if("{"):
                     self.push_scope()
                     self.parse_block(depth + 1)
                     self.pop_scope()
@@ -306,20 +333,18 @@ class _BodyWalker:
                     self.parse_statement(depth + 1)
             else:
                 self.parse_statement(depth + 1)
-        self.eat_if("}")
         self.pop_scope()
 
     def parse_try(self, depth: int):
-        self.eat()  # 'try'
-        has_resources = False
-        if self.txt() == "(":
-            has_resources = True
-            self.eat()
+        texts, kinds, end = self.texts, self.kinds, self.end
+        self.i += 1  # 'try'
+        has_resources = self.eat_if("(")
+        if has_resources:
             self.push_scope()
-            while self.i < self.end and self.txt() != ")":
+            while self.i < end and texts[self.i] != ")":
                 before = self.i
                 if not self.try_parse_declaration(depth, terminators=(";", ")")):
-                    self.parse_expr({";", ")"}, depth)
+                    self.parse_expr(_RESOURCE_END, depth)
                 self.eat_if(";")
                 if self.i == before:
                     break  # a '}' ends the resource list unclosed
@@ -328,16 +353,17 @@ class _BodyWalker:
             self.parse_block(depth)  # try body does not nest
         if has_resources:
             self.pop_scope()
-        while self.txt() == "catch":
-            self.eat()
+        while self.eat_if("catch"):
             self.events.append((EVENT_CATCH, depth))
             self.push_scope()
             if self.eat_if("("):
                 last_ident = None
-                while self.i < self.end and self.txt() != ")":
-                    if self.kind() == IDENT:
-                        last_ident = self.txt()
-                    self.eat()
+                i = self.i
+                while i < end and texts[i] != ")":
+                    if kinds[i] == IDENT:
+                        last_ident = texts[i]
+                    i += 1
+                self.i = i
                 self.eat_if(")")
                 if last_ident:
                     self.declare(last_ident)
@@ -350,11 +376,12 @@ class _BodyWalker:
 
     def parse_local_type(self, depth: int):
         """Local class/interface/enum/record: body is a nested region."""
-        while self.i < self.end and self.txt() != "{":
-            if self.txt() == "(":  # record header
+        texts, end = self.texts, self.end
+        while self.i < end and texts[self.i] != "{":
+            if texts[self.i] == "(":  # record header
                 self.skip_parens()
                 continue
-            self.eat()
+            self.i += 1
         if self.eat_if("{"):
             self.push_scope()
             self.parse_block(depth + 1)
@@ -364,7 +391,7 @@ class _BodyWalker:
 
     def parse_paren_expr(self, depth: int):
         if self.eat_if("("):
-            self.parse_expr({")"}, depth)
+            self.parse_expr(_RPAREN, depth)
             self.eat_if(")")
 
     def parse_expr(self, stop: Set[str], depth: int):
@@ -375,156 +402,151 @@ class _BodyWalker:
         and so is a ternary's last operand, which continues the loop one
         level deeper (a ternary chain needs no recursion) up to a ','.
         """
+        texts, kinds, end = self.texts, self.kinds, self.end
         last_bool = None
         resume = None  # (stop, depth) that a ',' after a ternary goes back to
-        while self.i < self.end:
-            t = self.txt()
-            if t in stop or (t in ("}", ";") and t not in stop):
+        while self.i < end:
+            i = self.i
+            t = texts[i]
+            if t not in _EXPR_SPECIAL and t not in stop:
+                if kinds[i] == IDENT:
+                    self._expr_ident(depth, stop)
+                else:
+                    self.i = i + 1
+                continue
+            if t in stop or t == "}" or t == ";":
                 if t == "," and resume:
                     stop, depth = resume
                     resume = None
                     last_bool = None
-                    self.eat()
+                    self.i = i + 1
                     continue
                 return
             if t == "(":
                 if self._try_lambda_params(depth, stop):
                     continue
-                self.eat()
-                self.parse_expr({")"}, depth)
+                self.i = i + 1
+                self.parse_expr(_RPAREN, depth)
                 self.eat_if(")")
-                continue
-            if t == "[":
-                self.eat()
-                self.parse_expr({"]"}, depth)
+            elif t == "[":
+                self.i = i + 1
+                self.parse_expr(_RBRACKET, depth)
                 self.eat_if("]")
-                continue
-            if t == "{":
-                if self.last == ")":
+            elif t == "{":
+                self.i = i + 1
+                if self.prev(i) == ")":
                     # anonymous class body after `new T(...)`
-                    self.eat()
                     self.push_scope()
                     self.parse_block(depth + 1)
                     self.pop_scope()
                 else:
                     # array initializer or similar brace region
-                    self.eat()
-                    self.parse_expr({"}"}, depth)
-                    self.eat_if("}")
-                continue
-            if t in ("&&", "||"):
+                    self.parse_expr(_RBRACE, depth)
+                    if self.i < end and texts[self.i] == "}":
+                        self.i += 1
+            elif t == "&&" or t == "||":
                 kind = EVENT_BOOL_OP if t == last_bool else EVENT_BOOL_RUN
                 self.events.append((kind, depth))
                 last_bool = t
-                self.eat()
-                continue
-            if t == ",":
+                self.i = i + 1
+            elif t == "," or t == ":":
                 last_bool = None
-                self.eat()
-                continue
-            if t == "?":
-                if self._is_wildcard():
-                    self.eat()
+                self.i = i + 1
+            elif t == "?":
+                self.i = i + 1
+                if self._is_wildcard(i):
                     continue
                 self.events.append((EVENT_TERNARY, depth))
-                self.eat()
-                self.parse_expr({":"}, depth + 1)
+                self.parse_expr(_COLON, depth + 1)
                 self.eat_if(":")
                 if "," not in stop:
                     resume = (stop, depth)
                     stop = stop | {","}
                 depth += 1
                 last_bool = None
-                continue
-            if t == ":":
-                last_bool = None
-                self.eat()
-                continue
-            if t == "switch":
+            elif t == "switch":
                 self.parse_switch(depth)
-                continue
-            if t == "instanceof":
+            else:  # 'instanceof'
                 self._parse_instanceof()
-                continue
-            if self.kind() == IDENT:
-                self._expr_ident(depth, stop)
-                continue
-            self.eat()
 
     def _expr_ident(self, depth: int, stop: Set[str]):
-        name = self.txt()
-        if name == "this" and self.txt(1) == "." and self.kind(2) == IDENT:
-            member = self.txt(2)
-            if self.txt(3) == "(":
+        texts = self.texts
+        i = self.i
+        name = texts[i]
+        nxt = texts[i + 1]
+        if nxt == "." and name == "this" and self.kinds[i + 2] == IDENT:
+            member = texts[i + 2]
+            if texts[i + 3] == "(":
                 if member == self.method_name:
                     self.events.append((EVENT_RECURSION, depth))
             elif member in self.attrs:
                 self.accessed.add(member)
-            self.eat()
-            self.eat()
-            self.eat()
+            self.i = i + 3
             return
-        if self.txt(1) == "->":
-            # single-parameter lambda
-            self.eat()
-            self.eat()  # '->'
-            self.push_scope([name])
+        if nxt == "->" and "->" not in stop:
+            # single-parameter lambda; in a case label '->' ends the label
+            self.i = i + 2
+            self.push_scope((name,))
             self._lambda_body(depth, stop)
             self.pop_scope()
             return
-        if self.last not in _QUALIFIER_PREV and name not in _VALUE_KEYWORDS:
-            if self.txt(1) == "(":
+        self.i = i + 1
+        if name not in _VALUE_KEYWORDS and (
+            texts[i - 1] not in _QUALIFIER_PREV or i == self.start
+        ):
+            if nxt == "(":
                 if name == self.method_name:
                     self.events.append((EVENT_RECURSION, depth))
             elif name in self.attrs and not self.is_shadowed(name):
                 self.accessed.add(name)
-        self.eat()
 
     def _lambda_body(self, depth: int, stop: Set[str]):
-        if self.txt() == "{":
-            self.eat()
+        if self.eat_if("{"):
             self.parse_block(depth + 1)
         else:
             self.parse_expr(stop | {","}, depth + 1)
 
     def _try_lambda_params(self, depth: int, stop: Set[str]) -> bool:
         """At '(': if the parenthesized group is a lambda parameter list,
-        consume it plus the body and return True."""
+        consume it plus the body and return True. In a case label '->'
+        ends the label, so there the group is never one."""
         close = self.close_of(self.i)
-        if close < 0 or close + 1 >= self.end or self.texts[close + 1] != "->":
+        if close < 0 or self.texts[close + 1] != "->" or "->" in stop:
             return False
         params = []
         for item in self.toks.split_commas(self.i + 1, close):
             idents = [j for j in item if self.kinds[j] == IDENT]
             if idents:
                 params.append(self.texts[idents[-1]])
-        self.skip_parens()
-        self.eat()  # '->'
+        self.i = close + 2  # past ')' and '->'
         self.push_scope(params)
         self._lambda_body(depth, stop)
         self.pop_scope()
         return True
 
-    def _is_wildcard(self) -> bool:
-        nxt = self.txt(1)
-        return self.last in ("<", ",") and nxt in ("extends", "super", ">", ",")
+    def _is_wildcard(self, i: int) -> bool:
+        """Whether the '?' at i is a type argument's wildcard."""
+        return self.prev(i) in ("<", ",") and self.texts[i + 1] in ("extends", "super", ">", ",")
 
     def _parse_instanceof(self):
-        self.eat()  # 'instanceof'
+        texts, kinds = self.texts, self.kinds
+        self.i += 1  # 'instanceof'
         self.eat_if("final")
-        if self.kind() == IDENT:
-            self.eat()
-            while self.txt() == "." and self.kind(1) == IDENT:
-                self.eat()
-                self.eat()
-        if self.txt() == "<":
+        i = self.i
+        if kinds[i] == IDENT:
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == IDENT:
+                i += 2
+            self.i = i
+        if texts[i] == "<":
             self._skip_angles()
-        while self.txt() == "[" and self.txt(1) == "]":
-            self.eat()
-            self.eat()
-        if self.kind() == IDENT:  # pattern variable
-            self.declare(self.txt())
-            self.eat()
+            i = self.i
+        while texts[i] == "[" and texts[i + 1] == "]":
+            i += 2
+        if kinds[i] == IDENT:  # pattern variable
+            self.declare(texts[i])
+            i += 1
+        self.i = i
 
     # ---- declarations -----------------------------------------------------
 
@@ -534,113 +556,108 @@ class _BodyWalker:
         On success the cursor rests on the terminator (not consumed) and all
         declarator names are in scope. On failure the cursor is untouched.
         """
-        save_i, save_last = self.i, self.last
-        while self.txt() in _DECL_HEAD_SKIP:
-            self.eat()
-        if self.txt() == "@":  # local annotation
+        texts, kinds = self.texts, self.kinds
+        save_i = self.i
+        while texts[self.i] in _DECL_HEAD_SKIP:
+            self.i += 1
+        if texts[self.i] == "@":  # local annotation
             self._skip_annotation()
-        ok = self._scan_type()
-        if ok and self.kind() == IDENT and self.txt() not in PRIMITIVE_TYPES:
-            name = self.txt()
-            nxt = self.txt(1)
-            allowed = set(terminators) | {"=", ","}
-            if nxt in allowed or (nxt == "[" and self.txt(2) == "]"):
-                self.eat()  # name
-                while self.txt() == "[" and self.txt(1) == "]":
-                    self.eat()
-                    self.eat()
-                self.declare(name)
-                self._declarator_rest(depth, terminators)
-                return True
-        self.i, self.last = save_i, save_last
+        if self._scan_type():
+            i = self.i
+            name = texts[i]
+            if kinds[i] == IDENT and name not in PRIMITIVE_TYPES:
+                nxt = texts[i + 1]
+                if (nxt in terminators or nxt == "=" or nxt == ","
+                        or (nxt == "[" and texts[i + 2] == "]")):
+                    i += 1  # name
+                    while texts[i] == "[" and texts[i + 1] == "]":
+                        i += 2
+                    self.i = i
+                    self.declare(name)
+                    self._declarator_rest(depth, terminators)
+                    return True
+        self.i = save_i
         return False
 
     def _declarator_rest(self, depth: int, terminators: Tuple[str, ...]):
+        texts, kinds = self.texts, self.kinds
         stops = set(terminators) | {","}
         while True:
-            if self.txt() == "=":
-                self.eat()
+            if self.eat_if("="):
                 self.parse_expr(stops, depth)
-            if self.txt() == "," and "," not in terminators:
-                self.eat()
-                if self.kind() == IDENT:
-                    self.declare(self.txt())
-                    self.eat()
-                    while self.txt() == "[" and self.txt(1) == "]":
-                        self.eat()
-                        self.eat()
+            i = self.i
+            if texts[i] == "," and "," not in terminators:
+                i += 1
+                self.i = i
+                if kinds[i] == IDENT:
+                    self.declare(texts[i])
+                    i += 1
+                    while texts[i] == "[" and texts[i + 1] == "]":
+                        i += 2
+                    self.i = i
                     continue
             return
 
     def _scan_type(self) -> bool:
         """Consume a type reference; False (cursor untouched) if absent."""
-        save_i, save_last = self.i, self.last
-        t = self.txt()
+        texts, kinds = self.texts, self.kinds
+        save_i = i = self.i
+        t = texts[i]
         if t in PRIMITIVE_TYPES or t == "var":
-            self.eat()
-        elif self.kind() == IDENT and t not in ("new", "this", "super"):
-            self.eat()
-            while self.txt() == "." and self.kind(1) == IDENT:
-                self.eat()
-                self.eat()
+            i += 1
+        elif kinds[i] == IDENT and t not in ("new", "this", "super"):
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == IDENT:
+                i += 2
         else:
             return False
-        if self.txt() == "<":
+        self.i = i
+        if texts[i] == "<":
             if not self._skip_angles():
-                self.i, self.last = save_i, save_last
+                self.i = save_i
                 return False
-        while self.txt() == "[" and self.txt(1) == "]":
-            self.eat()
-            self.eat()
+            i = self.i
+        while texts[i] == "[" and texts[i + 1] == "]":
+            i += 2
+        self.i = i
         return True
 
     def _skip_angles(self) -> bool:
         """Consume a balanced <...> group; abort on expression-ish tokens."""
-        save_i, save_last = self.i, self.last
+        texts = self.texts
         level = 0
-        while self.i < self.end:
-            t = self.txt()
+        for i in range(self.i, self.end):
+            t = texts[i]
             if t == "<":
                 level += 1
             elif t == ">":
                 level -= 1
                 if level == 0:
-                    self.eat()
+                    self.i = i + 1
                     return True
-            elif t in (";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/"):
+            elif t in _NOT_IN_ANGLES:
                 break
-            self.eat()
-        self.i, self.last = save_i, save_last
         return False
 
     # ---- misc ---------------------------------------------------------------
 
     def skip_parens(self):
-        """At '(': move past its ')', which becomes `last` as if eaten; an
-        unpaired '(' runs to the end of the body."""
+        """At '(': move past its ')'; an unpaired '(' runs to the end of the
+        body."""
         close = self.close_of(self.i)
-        if close < 0:
-            close = self.end - 1
-        self.i = close + 1
-        self.last = self.texts[close]
+        self.i = close + 1 if close >= 0 else self.end
 
     def _skip_annotation(self):
         """At '@': eat it, the annotation's dotted name and its arguments."""
-        self.eat()
-        if self.kind() == IDENT:
-            self.eat()
-            while self.txt() == "." and self.kind(1) == IDENT:
-                self.eat()
-                self.eat()
-        if self.txt() == "(":
+        texts, kinds = self.texts, self.kinds
+        i = self.i + 1
+        if kinds[i] == IDENT:
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == IDENT:
+                i += 2
+        self.i = i
+        if texts[i] == "(":
             self.skip_parens()
-
-    def _record_decl_ahead(self) -> bool:
-        return (
-            self.txt() == "record"
-            and self.kind(1) == IDENT
-            and self.txt(2) == "("
-        )
 
     def _for_control_has_semicolon(self) -> bool:
         """Classic for, not enhanced: a ';' before the ')' closing the

@@ -1,9 +1,28 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def child_env(**extra: str) -> dict:
+    """The minimal environment of a child Python that tests start: ``PATH``,
+    ``PYTHONPATH`` set to the directory holding the classaudit this process
+    imported (src/ in a checkout, site-packages in an install), ``extra``,
+    and ``PYTHONDONTWRITEBYTECODE`` when this process was given it, so that
+    a run asked to write no bytecode caches writes none through a child."""
+    import classaudit
+
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(classaudit.__file__).resolve().parent.parent),
+        **extra,
+    }
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 @pytest.fixture(scope="session")

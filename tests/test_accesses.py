@@ -1,6 +1,7 @@
 """Attribute-access resolution: shadowing, qualification, call targets."""
 
 from classaudit.javamodel import analyze_body, parse_compilation_unit, tokenize
+from classaudit.metrics import class_metrics
 
 
 def accesses(body, attrs, params=(), method="m"):
@@ -81,6 +82,21 @@ def test_catch_parameter_shadows():
 
 def test_try_resource_shadows():
     assert accesses("try (Stream s = open()) { s.read(); }", {"s"}) == set()
+
+
+def test_identifier_case_label_counts_in_arrow_and_colon_form():
+    assert accesses("switch (k) { case RED -> { k++; } }", {"RED"}) == {"RED"}
+    assert accesses("switch (k) { case RED: k++; }", {"RED"}) == {"RED"}
+    body = "switch (s) { case Circle c when flag -> { f(); } }"
+    assert accesses(body, {"flag"}) == {"flag"}
+
+
+def test_arrow_case_label_access_enters_lcom5():
+    source = ("class Light { int RED; int x;"
+              " void a(int k) { switch (k) { case RED -> { k++; } } }"
+              " void b() { RED = x; } }")
+    (cls,) = parse_compilation_unit(source)
+    assert class_metrics(cls).lcom5 == 0.5
 
 
 def test_labels_and_label_jumps_not_accesses():

@@ -4,12 +4,12 @@ import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import classaudit
 from classaudit.cli import RunConfig, config_from_args, main, run
+
+from conftest import child_env
 
 
 def run_cli(argv):
@@ -139,18 +139,12 @@ def test_multiple_inputs(tmp_path):
 
 def test_installed_entry_point(corpus_dir, tmp_path):
     # The env is minimal on purpose; PYTHONPATH only points the child at the
-    # directory holding the classaudit this process imported (src/ in a
-    # checkout, site-packages in an install).
-    package_root = Path(classaudit.__file__).resolve().parent.parent
+    # classaudit this process imported.
     result = subprocess.run(
         [sys.executable, "-m", "classaudit.cli", "--mode=source", f"--input={corpus_dir}"],
         capture_output=True,
         text=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "AUDIT_NO_COLOR": "1",
-            "PYTHONPATH": str(package_root),
-        },
+        env=child_env(AUDIT_NO_COLOR="1"),
     )
     assert result.returncode == 0
     assert "Group sizes" in result.stdout

@@ -84,6 +84,29 @@ def test_switch_arrow_form():
     assert events == [("switch", 0), ("case", 0), ("case", 0)]
 
 
+def test_identifier_arrow_label_is_a_label_not_a_lambda():
+    # Read as a lambda, `A -> { ... }` made the next `case` part of its body.
+    body = "switch (k) { case A -> { foo(); } case B -> { bar(); } default -> { baz(); } }"
+    _, events = analyze(body)
+    assert events == [("switch", 0), ("case", 0), ("case", 0)]
+    (cls,) = parse_compilation_unit("class S { void m(int k) { " + body + " } }")
+    assert class_metrics(cls).cc_total == 3
+
+
+def test_guarded_and_parenthesized_arrow_labels_are_labels():
+    guarded = "switch (s) { case Circle c when flag -> { f(); } case Square q when flag -> { g(); } }"
+    parenthesized = "switch (k) { case (1) -> { f(); } case (2) -> { g(); } }"
+    for body in (guarded, parenthesized):
+        _, events = analyze(body)
+        assert events == [("switch", 0), ("case", 0), ("case", 0)], body
+
+
+def test_lambda_in_an_arrow_arm_is_still_a_lambda():
+    body = "switch (k) { case A -> run(x -> { if (x) { } }); case B -> y -> y; }"
+    _, events = analyze(body)
+    assert events == [("switch", 0), ("case", 0), ("if", 2), ("case", 0)]
+
+
 def test_multi_label_case_counts_once():
     kinds, _ = analyze("switch (t) { case 1, 2: a(); }", params=["t"])
     assert kinds["case"] == 1

@@ -6,19 +6,18 @@ from pathlib import Path
 
 import pytest
 
-import classaudit
+from conftest import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["classify_names", "corpus_study", "metrics_tour"])
 def test_demo_runs_clean(name, tmp_path):
-    package_root = Path(classaudit.__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, str(DEMOS / f"{name}.py")],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root), "TMPDIR": str(tmp_path)},
+        env=child_env(TMPDIR=str(tmp_path)),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 FIXTURES = sorted(Path(__file__).resolve().parent.joinpath("fixtures").rglob("*.java"))
 SEEDS = range(10)
 MUTANTS_PER_FIXTURE = 5
@@ -101,14 +103,11 @@ def fuzz(which):
 
 
 def run_fuzz(which):
-    import classaudit
-
-    package_root = Path(classaudit.__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, __file__, which],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        env=child_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

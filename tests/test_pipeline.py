@@ -8,13 +8,11 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import classaudit
 from classaudit import pipeline
 from classaudit.classify import GroupKind, GroupLabel
 from classaudit.errors import EmptyInput, MissingColumn, ParseError
@@ -29,6 +27,8 @@ from classaudit.pipeline import (
     ingest_sources,
     quantile,
 )
+
+from conftest import child_env
 
 
 def record(name="C", label=GroupKind.REST, ncloc=10, lcom5=0.5, nhd=0.5,
@@ -319,12 +319,11 @@ def test_ingest_unclosed_try_resources_does_not_hang(tmp_path):
         "records = list(ingest_sources([sys.argv[1]], diagnostics=diag))\n"
         "print(len(records), diag.skipped)\n"
     )
-    package_root = Path(classaudit.__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        env=child_env(),
         timeout=30,
     )
     assert result.returncode == 0, result.stderr
