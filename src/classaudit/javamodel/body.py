@@ -15,7 +15,10 @@ attribute access when it matches a declared attribute, is not qualified by
 methods live in separate namespaces), and is not shadowed by a parameter or
 a local declared earlier in an enclosing scope. ``this.name`` always counts,
 shadowed or not. Scoping is block-granular, no flow analysis. In an arrow-form
-``case`` label, ``A ->`` ends the label: it is never a lambda.
+``case`` label, ``A ->`` ends the label: it is never a lambda. A type or
+record pattern binds like a local after ``instanceof``, and for its own arm
+only in a ``case`` label; a record pattern binds each component's last
+identifier, or a nested record pattern's bindings.
 
 Nesting-depth convention (pinned so hand oracles can match it): the method
 body is depth 0; bodies of if/else branches, loops, switch blocks, catch
@@ -311,7 +314,9 @@ class _BodyWalker:
         self.parse_paren_expr(depth)
         if not self.eat_if("{"):
             return
-        self.push_scope()
+        bound: Set[str] = set()  # the current arm's pattern bindings
+        self.scopes.append(bound)
+        self.push_scope()  # locals, which reach every later arm
         while self.i < end:
             t = texts[self.i]
             if t == "}":
@@ -320,8 +325,12 @@ class _BodyWalker:
             if t == "case":
                 self.i += 1
                 self.events.append((EVENT_CASE, depth))
-                self.parse_expr(_CASE_LABEL, depth)
-            elif t in ("default", ":"):
+                bound.clear()
+                self._parse_case_label(bound, depth)
+            elif t == "default":
+                self.i += 1
+                bound.clear()
+            elif t == ":":
                 self.i += 1
             elif t == "->":
                 self.i += 1
@@ -334,6 +343,33 @@ class _BodyWalker:
             else:
                 self.parse_statement(depth + 1)
         self.pop_scope()
+        self.pop_scope()
+
+    def _parse_case_label(self, bound: Set[str], depth: int):
+        """A case label, up to its ':' or '->'. Its type and record patterns
+        bind into ``bound``; constants, and a ``when`` guard with the
+        bindings in scope, are parsed as an expression."""
+        texts, kinds = self.texts, self.kinds
+        while True:
+            save = self.i
+            self.eat_if("final")
+            if not self._scan_type():
+                self.i = save
+                break
+            i = self.i
+            if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
+                self._bind_components(i, bound)
+                self.i = self.match[i] + 1
+            elif kinds[i] == IDENT:  # type pattern
+                bound.add(texts[i])
+                self.i = i + 1
+            else:  # a constant such as `RED` or `Color.RED`
+                self.i = save
+                break
+            if not self.eat_if(","):
+                self.eat_if("when")
+                break
+        self.parse_expr(_CASE_LABEL, depth)
 
     def parse_try(self, depth: int):
         texts, kinds, end = self.texts, self.kinds, self.end
@@ -533,7 +569,8 @@ class _BodyWalker:
         self.i += 1  # 'instanceof'
         self.eat_if("final")
         i = self.i
-        if kinds[i] == IDENT:
+        typed = kinds[i] == IDENT
+        if typed:
             i += 1
             while texts[i] == "." and kinds[i + 1] == IDENT:
                 i += 2
@@ -543,10 +580,30 @@ class _BodyWalker:
             i = self.i
         while texts[i] == "[" and texts[i + 1] == "]":
             i += 2
-        if kinds[i] == IDENT:  # pattern variable
+        if typed and texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
+            self._bind_components(i, self.scopes[-1])
+            i = self.match[i] + 1
+        elif kinds[i] == IDENT:  # pattern variable
             self.declare(texts[i])
             i += 1
         self.i = i
+
+    def _bind_components(self, open_: int, scope: Set[str]):
+        """Add to ``scope`` the bindings of the record pattern whose '(' is
+        at ``open_``, paired inside the body: each component's last
+        identifier, or a nested record pattern's own bindings."""
+        texts, kinds = self.texts, self.kinds
+        for item in self.toks.split_commas(open_ + 1, self.match[open_]):
+            name = ""
+            for j in item:
+                if texts[j] == "(":
+                    self._bind_components(j, scope)
+                    break
+                if kinds[j] == IDENT:
+                    name = texts[j]
+            else:
+                if name:
+                    scope.add(name)
 
     # ---- declarations -----------------------------------------------------
 

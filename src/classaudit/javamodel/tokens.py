@@ -10,19 +10,24 @@ downstream cares about are simply split. ``texts`` and ``kinds`` end in a
 ``""`` sentinel, so reading one past either end (index n, or -1) needs no
 bounds check.
 
-The whole file is scanned once, by ``findall`` with one compiled pattern,
-and the lists are built from the result by ``map``/``compress``, so no
-Python code runs per token. Each match skips blanks without a newline
-and comments that close on their own line, uncaptured, then captures one
-lexeme: a token, a ``\\n``, a block comment spanning lines, or ``""`` at the
-end of the text. As that group matches wherever the skip stops, the scan
-never backtracks into skipped text, which keeps it linear without the
-possessive quantifiers ``re`` has only from Python 3.11. A lexeme's
-line is one plus the newlines in the lexemes before it; newlines and
-comments are then dropped, and a token's kind comes from its first
-character. An unterminated comment, text block, string or char literal
-matches as one lexeme running to the end of the text, so it can only be the
-last lexeme, and matching that one against its closed form finds it.
+The whole file is scanned once, by ``split`` with one compiled pattern of
+two groups, the skipped text and one token, and the lists are built from
+the result by slices and ``map``, so no Python code runs per token. The
+skip takes every blank, newline and closed comment, comments that span
+lines included; the token group matches wherever that greedy skip stops,
+at a non-blank or at ``\\Z``, so the scan never backtracks into skipped
+text, which keeps it linear without the possessive quantifiers ``re`` has
+only from Python 3.11. The split reads ``["", skip0, token0, "", skip1,
+token1, ...]``: every third piece from the third is a token, up to the
+first ``\\Z`` match, which is the sentinel (skipped text at the end gives
+a second one). A token's line is one plus the newlines skipped up to it, one
+``str.count`` per token. That misses only the newlines inside tokens (a
+text block, or a string with a ``\\``-newline), so when the text holds more
+newlines than were skipped, the lines are counted again with each token's
+own. A token's kind comes from its first character. An unterminated
+comment, text block, string or char literal matches as one token running
+to the end of the text, so it can only be the last token, and matching
+that one against its closed form finds it.
 
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
 in one pass, once per file; the parser and the body walker find the extent
@@ -37,8 +42,8 @@ partner lies past its end.
 """
 
 import re
-from itertools import accumulate, compress, repeat
-from operator import itemgetter, not_
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter
 from typing import List, Sequence
 
 from ..errors import ParseError
@@ -64,9 +69,6 @@ PRIMITIVE_TYPES = frozenset(
 _TWO_CHAR_OPS = ("&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
                  "%=", "&=", "|=", "^=", "->", "::", "++", "--")
 
-# Blanks other than '\n', line comments and block comments closed on their
-# line, written so that any skipped text has exactly one parse.
-_SKIP = r"[^\S\n]*(?:(?://[^\n]*|/\*[^\n]*?\*/)[^\S\n]*)*"
 # Each comment or literal that may run past its line, closed, by opener.
 # Text blocks come before strings so that '"""' is never read as '"'.
 _CLOSED = {
@@ -75,13 +77,17 @@ _CLOSED = {
     '"': r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"',
     "'": r"'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'",
 }
-# One lexeme after any skipped text. The group must keep matching at the
-# end of the text (``\Z``), or a skip reaching it would be backtracked. A
-# comment or literal not closed runs to the end by its opener's second branch.
+# Every blank, newline and closed comment before a token, written so that
+# any skipped text has exactly one parse.
+_SKIP = r"\s*(?:(?://[^\n]*|" + _CLOSED["/*"] + r")\s*)*"
+# The skipped text, then one token. The token group must match wherever the
+# skip stops (a non-blank, or ``\Z`` at the end of the text), or the skip
+# would be backtracked. A ``/*`` there is one the skip found no close for;
+# it, and a literal not closed, runs to the end of the text.
 _LEXEME = re.compile(
-    _SKIP + r"(\n|"
-    + "|".join(f"{closed}|{re.escape(opener)}(?s:.*)"
-               for opener, closed in _CLOSED.items())
+    f"({_SKIP})(" + r"/\*(?s:.*)|"
+    + "|".join(f"{_CLOSED[opener]}|{re.escape(opener)}(?s:.*)"
+               for opener in ('"""', '"', "'"))
     + r"""
       | \d\w*(?:\.(?=\d)\w*)*                    # number
       | (?:[^\W\d]|\$)[\w$]*                     # identifier
@@ -98,7 +104,6 @@ _UNTERMINATED_MESSAGE = {
     '"': "unterminated string literal",
     "'": "unterminated char literal",
 }
-_NOT_TOKEN = ("\n", "/*")
 
 
 class _KindOf(dict):
@@ -168,19 +173,30 @@ class Tokens:
 
 
 def tokenize(text: str, file_id: str = "<memory>") -> Tokens:
-    """Tokenize Java source; raises ParseError on malformed lexical input."""
-    lexemes = _LEXEME.findall(text)
-    del lexemes[lexemes.index(""):]  # "" is captured only at the end
-    if lexemes:
-        opener = _unclosed_opener(lexemes[-1])
+    """Tokenize Java source; raises ParseError on malformed lexical input.
+
+    One ``_LEXEME.split`` of the whole text gives the tokens by one slice
+    and their lines from the skipped text (see the module docstring).
+    """
+    pieces = _LEXEME.split(text)
+    texts = pieces[2::3]
+    if len(texts) > 1 and not texts[-2]:  # skipped text at the end: two \Z
+        del texts[-1]
+    n = len(texts) - 1
+    skipped = pieces[1:3 * n + 3:3]  # before each token and the sentinel
+    lines = list(accumulate(map(str.count, skipped, repeat("\n")), initial=1))
+    if lines[-1] != text.count("\n") + 1:  # a token holds a newline
+        held = chain((0,), map(str.count, texts, repeat("\n")))
+        lines = list(accumulate(
+            map(add, map(str.count, skipped, repeat("\n")), held), initial=1))
+    del lines[0], lines[-1]
+    if n:
+        opener = _unclosed_opener(texts[n - 1])
         if opener:
-            line = text.count("\n") + 1 - lexemes[-1].count("\n")
-            raise ParseError(file_id, line, _UNTERMINATED_MESSAGE[opener])
-    keep = list(map(not_, map(str.startswith, lexemes, repeat(_NOT_TOKEN))))
-    texts = list(compress(lexemes, keep))
-    kinds = map(_KIND.__getitem__, map(itemgetter(0), texts))
-    starts = accumulate(map(str.count, lexemes, repeat("\n")), initial=1)
-    return Tokens([*texts, ""], [*kinds, ""], list(compress(starts, keep)))
+            raise ParseError(file_id, lines[n - 1], _UNTERMINATED_MESSAGE[opener])
+    kinds = list(map(_KIND.__getitem__, map(itemgetter(0), islice(texts, n))))
+    kinds.append("")
+    return Tokens(texts, kinds, lines)
 
 
 def match_brackets(texts: Sequence[str]) -> List[int]:

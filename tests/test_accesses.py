@@ -87,6 +87,9 @@ def test_try_resource_shadows():
 def test_identifier_case_label_counts_in_arrow_and_colon_form():
     assert accesses("switch (k) { case RED -> { k++; } }", {"RED"}) == {"RED"}
     assert accesses("switch (k) { case RED: k++; }", {"RED"}) == {"RED"}
+    body = "switch (k) { case RED, GREEN -> f(); case Color.BLUE: g(); }"
+    assert accesses(body, {"RED", "GREEN", "Color"}) == {"RED", "GREEN", "Color"}
+    assert accesses("switch (k) { case null, default -> f(x); }", {"x"}) == {"x"}
     body = "switch (s) { case Circle c when flag -> { f(); } }"
     assert accesses(body, {"flag"}) == {"flag"}
 
@@ -114,6 +117,46 @@ def test_new_type_named_like_attribute_not_counted():
 
 def test_instanceof_pattern_variable_shadows():
     assert accesses("if (o instanceof String x) { use(x); }", {"x"}, params=["o"]) == set()
+
+
+def test_case_type_pattern_binds_in_its_own_arm_only():
+    assert accesses("switch (s) { case Circle c -> { c.draw(); } }", {"c"}) == set()
+    assert accesses("switch (s) { case Circle c: c.draw(); }", {"c"}) == set()
+    assert accesses("switch (s) { case Circle c -> f(); case Square q -> c.g(); }", {"c"}) == {"c"}
+    assert accesses("switch (s) { case Circle c: f(); break; case Square q: c.g(); }", {"c"}) == {"c"}
+    assert accesses("switch (s) { case Circle c -> f(); default -> c.g(); }", {"c"}) == {"c"}
+
+
+def test_case_guard_sees_the_label_binding():
+    body = "switch (s) { case Circle c when c.r > 0 -> f(); }"
+    assert accesses(body, {"c"}) == set()
+    body = "switch (s) { case Circle c when c.r > 0: f(); }"
+    assert accesses(body, {"c"}) == set()
+
+
+def test_colon_arm_local_still_reaches_later_arms():
+    body = "switch (k) { case Circle c: int x = 0; break; case Square q: x = 1; }"
+    assert accesses(body, {"x"}) == set()
+
+
+def test_record_pattern_binds_its_components():
+    attrs = {"x", "y"}
+    assert accesses("if (o instanceof Point(int x, int y)) { f(x); }", attrs) == set()
+    assert accesses("switch (o) { case Point(int x, int y) -> f(x); }", attrs) == set()
+    assert accesses("switch (o) { case Point(int x, int y): f(y); }", attrs) == set()
+    assert accesses("switch (o) { case Point(var x, var y) when x > y -> f(); }", attrs) == set()
+    assert accesses("switch (o) { case Point(int x, int y) -> f(); default -> g(x); }", attrs) == {"x"}
+
+
+def test_nested_record_pattern_binds_every_component():
+    body = "if (o instanceof Line(Point(var a, var b), Point p) && a > p.x) { f(b); }"
+    assert accesses(body, {"a", "b", "p"}) == set()
+    body = "switch (o) { case Line(Point(var a, var b), Point<T> p) -> f(a, b, p); }"
+    assert accesses(body, {"a", "b", "p"}) == set()
+
+
+def test_parenthesis_after_instanceof_without_a_type_is_an_expression():
+    assert accesses("if (o instanceof (x)) { }", {"x"}) == {"x"}
 
 
 def test_shadowing_is_per_method_not_global():

@@ -146,6 +146,34 @@ def assert_same(text):
     assert outcome(triples, text) == outcome(reference_tokenize, text), repr(text)
 
 
+EDGE_CASES = {
+    "text block then later lines": 'a\n"""\n x\n y\n""" b\nc\n\nd',
+    "backslash-newline string then tokens": '"ab\\\ncd" e\nf',
+    "block comment spanning lines": "a /* x\n\n y */ b\n/**\n * doc\n */ c",
+    "empty text": "",
+    "whitespace only": " \t\n\r\n  \x0c",
+    "no final newline": "a b",
+    "one final newline": "a b\n",
+    "two final newlines": "a b\n\n",
+    "line comment on an unterminated last line": "a\nb // c",
+    "unterminated block comment after a text block": 'a\n"""\nx\n"""\nb /* c\n d',
+}
+
+
+@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_edge_cases_equal_reference(text):
+    assert_same(text)
+
+
+def test_edge_cases_pin_the_recount_and_the_sentinel():
+    # Lines after a token that holds a newline count it; a text ending in
+    # skipped text gives two end matches, and only one sentinel stays.
+    for name in ("text block then later lines", "backslash-newline string then tokens"):
+        lines = tokenize(EDGE_CASES[name]).lines
+        assert lines[-1] > lines[0] + 1, name
+    assert tokenize(EDGE_CASES["two final newlines"]).texts == ["a", "b", ""]
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
 def test_fixture_tokens_equal_reference(path):
     text = path.read_text(encoding="utf-8")
