@@ -9,10 +9,11 @@ Excluded names fall through to the Rest rules by default; the drop policy
 is a knob because the routing is genuinely ambiguous.
 """
 
-from dataclasses import dataclass
+import os
 from enum import Enum
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
+
+from ._record import FrozenRecord
 
 DEFAULT_UTILS_SUFFIXES: Tuple[str, ...] = ("Utils", "Util", "Utilities", "Utility")
 
@@ -39,22 +40,27 @@ class GroupKind(Enum):
     DROPPED = "Dropped"
 
 
-@dataclass(frozen=True)
-class GroupLabel:
-    kind: GroupKind
-    drop_reason: Optional[str] = None
+class GroupLabel(FrozenRecord):
+    __slots__ = ("kind", "drop_reason")
+
+    def __init__(self, kind: GroupKind, drop_reason: Optional[str] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "drop_reason", drop_reason)
 
 
-@dataclass(frozen=True)
-class SuffixRules:
-    utils_suffixes: Tuple[str, ...] = DEFAULT_UTILS_SUFFIXES
-    eror_suffixes: Tuple[str, ...] = DEFAULT_EROR_SUFFIXES
-    exclusion_suffixes: Tuple[str, ...] = DEFAULT_EXCLUSION_SUFFIXES
+class SuffixRules(FrozenRecord):
+    __slots__ = ("utils_suffixes", "eror_suffixes", "exclusion_suffixes")
 
-    def __post_init__(self):
-        for name in ("utils_suffixes", "eror_suffixes", "exclusion_suffixes"):
-            # str.endswith takes a tuple of suffixes, not a list
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(
+        self,
+        utils_suffixes: Iterable[str] = DEFAULT_UTILS_SUFFIXES,
+        eror_suffixes: Iterable[str] = DEFAULT_EROR_SUFFIXES,
+        exclusion_suffixes: Iterable[str] = DEFAULT_EXCLUSION_SUFFIXES,
+    ):
+        # str.endswith takes a tuple of suffixes, not a list
+        object.__setattr__(self, "utils_suffixes", tuple(utils_suffixes))
+        object.__setattr__(self, "eror_suffixes", tuple(eror_suffixes))
+        object.__setattr__(self, "exclusion_suffixes", tuple(exclusion_suffixes))
         if not self.utils_suffixes or not self.eror_suffixes:
             raise ValueError("suffix lists must be non-empty")
         if len(set(self.exclusion_suffixes)) != len(self.exclusion_suffixes):
@@ -102,7 +108,7 @@ def classify(
     return _REST
 
 
-def load_rules(path: Path) -> SuffixRules:
+def load_rules(path: Union[str, os.PathLike]) -> SuffixRules:
     """Rules file: one suffix per line under `[utils]` / `[exclude]` headers.
 
     Blank lines and `#` comments are ignored. A missing section keeps the
@@ -111,7 +117,9 @@ def load_rules(path: Path) -> SuffixRules:
     utils: List[str] = []
     exclude: List[str] = []
     current: Optional[List[str]] = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,13 +5,12 @@ more than 10% of the inputs had to be skipped.
 """
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, TextIO
 
+from ._record import Record
 from .classify import EXCLUDED_TO_DROP, EXCLUDED_TO_REST, SuffixRules, load_rules
 from .errors import AuditError, ConfigError
 from .pipeline import (
@@ -27,18 +26,33 @@ from .report import emit_chart_data, render_tables
 SKIP_RATE_EXIT_THRESHOLD = 0.10
 
 
-@dataclass
-class RunConfig:
-    mode: str  # "source" | "cam"
-    inputs: List[str]
-    cam_map_path: Optional[str] = None
-    rules_path: Optional[str] = None
-    q_low: Fraction = Fraction(1, 100)
-    q_high: Fraction = Fraction(99, 100)
-    excluded_to: str = EXCLUDED_TO_REST
-    output_format: str = "text"
-    charts_dir: Optional[str] = None
-    diagnostics_path: Optional[str] = None
+class RunConfig(Record):
+    __slots__ = ("mode", "inputs", "cam_map_path", "rules_path", "q_low", "q_high",
+                 "excluded_to", "output_format", "charts_dir", "diagnostics_path")
+
+    def __init__(
+        self,
+        mode: str,  # "source" | "cam"
+        inputs: List[str],
+        cam_map_path: Optional[str] = None,
+        rules_path: Optional[str] = None,
+        q_low: Fraction = Fraction(1, 100),
+        q_high: Fraction = Fraction(99, 100),
+        excluded_to: str = EXCLUDED_TO_REST,
+        output_format: str = "text",
+        charts_dir: Optional[str] = None,
+        diagnostics_path: Optional[str] = None,
+    ):
+        self.mode = mode
+        self.inputs = inputs
+        self.cam_map_path = cam_map_path
+        self.rules_path = rules_path
+        self.q_low = q_low
+        self.q_high = q_high
+        self.excluded_to = excluded_to
+        self.output_format = output_format
+        self.charts_dir = charts_dir
+        self.diagnostics_path = diagnostics_path
 
     def validate(self):
         if self.mode not in ("source", "cam"):
@@ -67,6 +81,8 @@ def run(config: RunConfig, out: TextIO = None, err: TextIO = None) -> int:
         else:
             column_map = dict(DEFAULT_CAM_COLUMN_MAP)
             if config.cam_map_path:
+                import json  # only a --cam-map run reads JSON
+
                 with open(config.cam_map_path, "r", encoding="utf-8") as fh:
                     column_map.update(json.load(fh))
             records = []

@@ -11,14 +11,16 @@ walker, one per decision construct; cyclomatic and cognitive complexity are
 both folds over that list (see ``metrics``).
 """
 
-from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
+
+from .._record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class AttributeDecl:
-    name: str
-    is_static: bool = False
+class AttributeDecl(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 # Event kinds, one per decision construct the body walker meets. CC counts
@@ -50,26 +52,34 @@ FLAT_EVENT_KINDS = frozenset(
 Event = Tuple[str, int]  # (kind, structural nesting depth)
 
 
-@dataclass
-class MethodView:
-    name: str
-    is_static: bool
-    parameter_types: List[str]
-    accessed_attributes: Set[str]
-    events: List[Event]  # in source order
+class MethodView(Record):
+    __slots__ = ("name", "parameter_types", "accessed_attributes", "events")
+
+    def __init__(self, name: str, parameter_types: List[str],
+                 accessed_attributes: Set[str], events: List[Event]):
+        self.name = name
+        self.parameter_types = parameter_types
+        self.accessed_attributes = accessed_attributes
+        self.events = events  # in source order
 
 
-@dataclass
-class SourceClass:
-    name: str
-    qualified_name: str
-    attributes: List[AttributeDecl]
-    methods: List[MethodView]
-    has_static_member: bool
-    line_span: Tuple[int, int]  # 1-based inclusive
-    loc: int
-    blank_lines: int
-    nested: List["SourceClass"] = field(default_factory=list)
+class SourceClass(Record):
+    __slots__ = ("name", "qualified_name", "attributes", "methods", "has_static_member",
+                 "line_span", "loc", "blank_lines", "nested")
+
+    def __init__(self, name: str, qualified_name: str, attributes: List[AttributeDecl],
+                 methods: List[MethodView], has_static_member: bool,
+                 line_span: Tuple[int, int], loc: int, blank_lines: int,
+                 nested: Optional[List["SourceClass"]] = None):
+        self.name = name
+        self.qualified_name = qualified_name
+        self.attributes = attributes
+        self.methods = methods
+        self.has_static_member = has_static_member
+        self.line_span = line_span  # 1-based inclusive
+        self.loc = loc
+        self.blank_lines = blank_lines
+        self.nested = [] if nested is None else nested
 
     def attribute_names(self) -> Set[str]:
         return {a.name for a in self.attributes}

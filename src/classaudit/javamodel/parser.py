@@ -207,7 +207,7 @@ class _UnitParser:
         attributes: List[AttributeDecl] = []
         attr_names: Set[str] = set()
         nested: List[SourceClass] = []
-        raw_methods: List[Tuple[str, bool, List[str], List[str], Tuple[int, int]]] = []
+        raw_methods: List[Tuple[str, List[str], List[str], Tuple[int, int]]] = []
         has_static = False
 
         i = body_open + 1
@@ -248,21 +248,20 @@ class _UnitParser:
                 continue
             i, kind_, mname, param_types, param_names, body_span = member
             if kind_ == "field":
-                is_static = "static" in mods
-                if is_static:
+                if "static" in mods:
                     has_static = True
                 for fname in param_types:  # declarator names for fields
                     if fname not in attr_names:
                         attr_names.add(fname)
-                        attributes.append(AttributeDecl(fname, is_static))
+                        attributes.append(AttributeDecl(fname))
             elif kind_ == "method":
                 if "static" in mods:
                     has_static = True
-                raw_methods.append((mname, "static" in mods, param_types, param_names, body_span))
+                raw_methods.append((mname, param_types, param_names, body_span))
             # constructors contribute nothing
 
         methods: List[MethodView] = []
-        for mname, is_static, ptypes, pnames, body_span in raw_methods:
+        for mname, ptypes, pnames, body_span in raw_methods:
             if body_span == (0, 0):
                 accessed: Set[str] = set()
                 events: List[Event] = []
@@ -272,7 +271,6 @@ class _UnitParser:
             methods.append(
                 MethodView(
                     name=mname,
-                    is_static=is_static,
                     parameter_types=ptypes,
                     accessed_attributes=accessed & attr_names,
                     events=events,

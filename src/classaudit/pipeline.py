@@ -7,62 +7,76 @@ records) and strict outliers go; Dropped-labeled records go last. The four
 tallies always satisfy input = output + metric + quantile + label drops.
 """
 
-import csv
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
+from ._record import Record
 from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
 from .errors import EmptyInput, MissingColumn, ParseError, RowParseError
 from .javamodel.parser import parse_compilation_unit
 from .metrics import ClassMetrics, class_metrics
 
 
-@dataclass(slots=True)
-class ClassRecord:
-    qualified_name: str
-    origin: str
-    metrics: ClassMetrics
-    loc: int
-    blank_lines: int
-    label: GroupLabel
-    # False when an ingested row lacked an always-int metric cell (CC/CoCo
-    # totals have no None slot in ClassMetrics, so absence is flagged here).
-    metrics_complete: bool = True
+class ClassRecord(Record):
+    __slots__ = ("qualified_name", "origin", "metrics", "loc", "blank_lines", "label",
+                 "metrics_complete")
+
+    def __init__(self, qualified_name: str, origin: str, metrics: ClassMetrics, loc: int,
+                 blank_lines: int, label: GroupLabel, metrics_complete: bool = True):
+        self.qualified_name = qualified_name
+        self.origin = origin
+        self.metrics = metrics
+        self.loc = loc
+        self.blank_lines = blank_lines
+        self.label = label
+        # False when an ingested row lacked an always-int metric cell (CC/CoCo
+        # totals have no None slot in ClassMetrics, so absence is flagged here).
+        self.metrics_complete = metrics_complete
 
     @property
     def ncloc(self) -> int:
         return self.loc - self.blank_lines
 
 
-@dataclass
-class GroupSummary:
-    label: GroupKind
-    class_count: int
-    loc_total: int
-    loc_per_class: Optional[float]
-    lcom5_mean: Optional[float]
-    nhd_mean: Optional[float]
-    cc_mean: Optional[float]
-    coco_mean: Optional[float]
-    acoco_mean: Optional[float]
-    mxcoco_mean: Optional[float]
-    mncoco_mean: Optional[float]
+class GroupSummary(Record):
+    __slots__ = ("label", "class_count", "loc_total", "loc_per_class", "lcom5_mean",
+                 "nhd_mean", "cc_mean", "coco_mean", "acoco_mean", "mxcoco_mean",
+                 "mncoco_mean")
+
+    def __init__(self, label: GroupKind, class_count: int, loc_total: int,
+                 loc_per_class: Optional[float], lcom5_mean: Optional[float],
+                 nhd_mean: Optional[float], cc_mean: Optional[float],
+                 coco_mean: Optional[float], acoco_mean: Optional[float],
+                 mxcoco_mean: Optional[float], mncoco_mean: Optional[float]):
+        self.label = label
+        self.class_count = class_count
+        self.loc_total = loc_total
+        self.loc_per_class = loc_per_class
+        self.lcom5_mean = lcom5_mean
+        self.nhd_mean = nhd_mean
+        self.cc_mean = cc_mean
+        self.coco_mean = coco_mean
+        self.acoco_mean = acoco_mean
+        self.mxcoco_mean = mxcoco_mean
+        self.mncoco_mean = mncoco_mean
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(Record):
     """Skip tally plus one `SKIP path:line reason` line per skipped unit, or
     `ERROR path:0 Type: message` for a file that raised unexpectedly."""
 
-    files_seen: int = 0
-    rows_seen: int = 0
-    skipped: int = 0
-    lines: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+    __slots__ = ("files_seen", "rows_seen", "skipped", "lines", "warnings")
+
+    def __init__(self, files_seen: int = 0, rows_seen: int = 0, skipped: int = 0,
+                 lines: Optional[List[str]] = None, warnings: Optional[List[str]] = None):
+        self.files_seen = files_seen
+        self.rows_seen = rows_seen
+        self.skipped = skipped
+        self.lines = [] if lines is None else lines
+        self.warnings = [] if warnings is None else warnings
 
     def skip(self, path: str, line: int, reason: str):
         self.skipped += 1
@@ -199,6 +213,8 @@ def ingest_cam_csv(
     for key in CAM_REQUIRED_KEYS:
         if key not in column_map:
             raise MissingColumn(f"column map does not bind '{key}'")
+    import csv  # only a cam run reads CSV
+
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -355,15 +371,20 @@ def quantile(values: Sequence[float], p: Union[float, Fraction]) -> float:
     return values[min(max(rank - 1, 0), n - 1)]
 
 
-@dataclass
-class FilterOutcome:
-    kept: List[ClassRecord]
-    input_count: int
-    dropped_by_metric: int
-    dropped_by_quantile: int
-    dropped_by_label: int
-    q_low_value: Optional[float]
-    q_high_value: Optional[float]
+class FilterOutcome(Record):
+    __slots__ = ("kept", "input_count", "dropped_by_metric", "dropped_by_quantile",
+                 "dropped_by_label", "q_low_value", "q_high_value")
+
+    def __init__(self, kept: List[ClassRecord], input_count: int, dropped_by_metric: int,
+                 dropped_by_quantile: int, dropped_by_label: int,
+                 q_low_value: Optional[float], q_high_value: Optional[float]):
+        self.kept = kept
+        self.input_count = input_count
+        self.dropped_by_metric = dropped_by_metric
+        self.dropped_by_quantile = dropped_by_quantile
+        self.dropped_by_label = dropped_by_label
+        self.q_low_value = q_low_value
+        self.q_high_value = q_high_value
 
     @property
     def output_count(self) -> int:

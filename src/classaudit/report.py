@@ -12,7 +12,6 @@ metric (LCOM5, NHD, CoCo, CC), with a companion CSV holding the same
 numbers to the same printed precision. Output is byte-stable run to run.
 """
 
-import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -187,6 +186,8 @@ def _render_csv(rows, pipeline, skipped) -> str:
 
 
 def _render_json(rows, pipeline, skipped) -> str:
+    import json  # only a --format=json run writes JSON
+
     doc: Dict[str, object] = {
         "size": [
             {

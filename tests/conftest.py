@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from classaudit._record import Record
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -23,6 +25,25 @@ def child_env(**extra: str) -> dict:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def copy_with(record, **changes):
+    """A copy of a record with some fields changed: every constructor takes
+    its fields as keywords named as in ``__slots__``."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
+def field_view(value):
+    """A record as a dict of its fields in slot order, nested records,
+    lists, tuples and dicts converted the same way all the way down."""
+    if isinstance(value, Record):
+        return {name: field_view(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, (list, tuple)):
+        return type(value)(field_view(v) for v in value)
+    if isinstance(value, dict):
+        return {k: field_view(v) for k, v in value.items()}
+    return value
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Classifier rules: suffix precedence, exclusions, static filter."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from classaudit.classify import (
     DEFAULT_UTILS_SUFFIXES,
     EXCLUDED_TO_DROP,
     GroupKind,
+    GroupLabel,
     SuffixRules,
     classify,
     has_eror_tail,
@@ -198,3 +201,20 @@ def test_suffix_lists_given_as_lists_classify_as_tuples():
     assert classify("StringHelper", False, rules).kind is GroupKind.UTILS
     assert classify("WebServer", False, rules).kind is GroupKind.REST
     assert classify("TaskManager", False, rules).kind is GroupKind.EROR
+
+
+def test_labels_and_rules_are_frozen_and_hashable():
+    label = classify("TaskManager", False, RULES)
+    assert label == GroupLabel(GroupKind.EROR) != GroupLabel(GroupKind.EROR, "x")
+    assert {label: 1}[GroupLabel(GroupKind.EROR)] == 1
+    assert hash(SuffixRules(utils_suffixes=["Util"])) == hash(SuffixRules(("Util",)))
+    assert repr(GroupLabel(GroupKind.DROPPED, "static-member")) == (
+        "GroupLabel(kind=<GroupKind.DROPPED: 'Dropped'>, drop_reason='static-member')")
+    for obj, name in ((label, "kind"), (label, "not_a_field"), (RULES, "utils_suffixes")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert label.kind is GroupKind.EROR and RULES.utils_suffixes == DEFAULT_UTILS_SUFFIXES
+    for obj in (label, RULES):
+        assert copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj

@@ -156,7 +156,7 @@ def test_generated_bodies_match_constructed_expectations(seed):
         range(1, len(tokens) - 1), tokens, set(), ["p0", "p1", "p2", "p3", "labels"], "m"
     )
     view = MethodView(
-        name="m", is_static=False, parameter_types=[], accessed_attributes=accessed,
+        name="m", parameter_types=[], accessed_attributes=accessed,
         events=events,
     )
     kinds = Counter(kind for kind, _ in events)

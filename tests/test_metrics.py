@@ -17,7 +17,6 @@ def make_class(n_attrs, accesses, param_types=None):
     methods = [
         MethodView(
             name=f"m{i}",
-            is_static=False,
             parameter_types=list(types),
             accessed_attributes={f"a{j}" for j in used},
             events=[],
@@ -90,7 +89,7 @@ def test_nhd_duplicate_types_in_one_method_count_once():
 
 def method_with(events=None):
     return MethodView(
-        name="m", is_static=False, parameter_types=[],
+        name="m", parameter_types=[],
         accessed_attributes=set(),
         events=events or [],
     )

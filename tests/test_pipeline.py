@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ from classaudit.pipeline import (
     quantile,
 )
 
-from conftest import child_env
+from conftest import child_env, copy_with, field_view
 
 
 def record(name="C", label=GroupKind.REST, ncloc=10, lcom5=0.5, nhd=0.5,
@@ -215,16 +214,16 @@ def test_aggregate_takes_any_iterable_and_ignores_dropped():
         (GroupKind.EROR, 1, 11), (GroupKind.UTILS, 0, 0), (GroupKind.REST, 1, 7)]
 
 
-def test_records_are_slotted_and_still_dataclasses():
+def test_records_are_slotted_and_copy_field_wise():
     rec = record(name="A", cc=3)
     for obj in (rec, rec.metrics):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             obj.not_a_field = 1
-    moved = replace(rec, origin="x:3", metrics=replace(rec.metrics, cc_total=9))
+    moved = copy_with(rec, origin="x:3", metrics=copy_with(rec.metrics, cc_total=9))
     assert (moved.origin, moved.metrics.cc_total, rec.metrics.cc_total) == ("x:3", 9, 3)
-    assert asdict(moved)["metrics"] == asdict(moved.metrics)
-    assert asdict(moved)["metrics"]["cc_total"] == 9
+    assert field_view(moved)["metrics"] == field_view(moved.metrics)
+    assert field_view(moved)["metrics"]["cc_total"] == 9
 
 
 # ---- ingest_sources -------------------------------------------------------------------
@@ -274,8 +273,8 @@ def test_ingest_skips_file_nested_too_deep(tmp_path, body):
     records = list(ingest_sources([mixed], diagnostics=diag))
     assert diag.lines == [f"SKIP {deep}:0 nesting too deep"]
     assert diag.skipped == 1
-    assert [replace(r, origin=os.path.basename(r.origin)) for r in records] == [
-        replace(r, origin=os.path.basename(r.origin)) for r in expected
+    assert [copy_with(r, origin=os.path.basename(r.origin)) for r in records] == [
+        copy_with(r, origin=os.path.basename(r.origin)) for r in expected
     ]
 
 
@@ -422,7 +421,7 @@ def test_cam_csv_non_integral_count_cell_is_row_error(tmp_path, key, cell):
     alone = tmp_path / "alone"
     alone.mkdir()
     expected = list(ingest_cam_csv(write_csv(alone, good), CSV_MAP))
-    assert [replace(r, origin="") for r in records] == [replace(r, origin="") for r in expected]
+    assert [copy_with(r, origin="") for r in records] == [copy_with(r, origin="") for r in expected]
     for r in records:
         assert type(r.metrics.cc_total) is int and type(r.metrics.coco_total) is int
 
