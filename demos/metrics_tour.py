@@ -32,7 +32,7 @@ class OrderBook {
 cls = parse_compilation_unit(SOURCE, "OrderBook.java")[0]
 
 print(f"class {cls.name}")
-print(f"  attributes: {[a.name for a in cls.attributes]}")
+print(f"  attributes: {cls.attributes}")
 print(f"  line span {cls.line_span}, {cls.loc} lines, {cls.blank_lines} blank")
 print()
 

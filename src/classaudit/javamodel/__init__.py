@@ -1,12 +1,11 @@
 """Structural model of Java source: classes, members, control-flow facts."""
 
 from .body import analyze_body
-from .model import AttributeDecl, MethodView, SourceClass
+from .model import MethodView, SourceClass
 from .parser import count_loc_and_blank, parse_compilation_unit
 from .tokens import tokenize
 
 __all__ = [
-    "AttributeDecl",
     "MethodView",
     "SourceClass",
     "analyze_body",

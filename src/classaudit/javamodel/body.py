@@ -37,7 +37,7 @@ partner outside the body reads -1, which is the body's own table (see
 ``tokens``).
 """
 
-from typing import List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from .model import (
     EVENT_BOOL_OP,
@@ -64,8 +64,6 @@ _VALUE_KEYWORDS = frozenset({"null", "true", "false"})
 _EXPR_SPECIAL = frozenset({
     "}", ";", "(", "[", "{", "&&", "||", ",", "?", ":", "switch", "instanceof",
 })
-# Tokens that end a type inside `<...>` as an expression instead.
-_NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/"})
 _SEMI = frozenset({";"})
 _RPAREN = frozenset({")"})
 _RBRACKET = frozenset({"]"})
@@ -78,7 +76,7 @@ _RESOURCE_END = frozenset({";", ")"})
 def analyze_body(
     span: range,
     tokens: Tokens,
-    attr_names: Set[str],
+    attr_names: Iterable[str],
     param_names: Sequence[str],
     method_name: str,
 ) -> Tuple[Set[str], List[Event]]:
@@ -245,13 +243,11 @@ class _BodyWalker:
             self.parse_expr(_SEMI, depth)
             self.eat_if(";")
             return
-        if t in ("class", "interface", "enum") or (
-            t == "record" and kinds[i + 1] == IDENT and texts[i + 2] == "("
-        ):
+        if self.toks.type_decl_at(i):
             self.parse_local_type(depth)
             return
         if t == "@":
-            self._skip_annotation()
+            self.i = self.toks.skip_annotation(i, self.end)
             return
         if kinds[i] == IDENT and texts[i + 1] == ":" and texts[i + 2] != ":":
             self.i = i + 2  # statement label such as `outer:`
@@ -414,8 +410,9 @@ class _BodyWalker:
         """Local class/interface/enum/record: body is a nested region."""
         texts, end = self.texts, self.end
         while self.i < end and texts[self.i] != "{":
-            if texts[self.i] == "(":  # record header
-                self.skip_parens()
+            if texts[self.i] == "(":  # record header; unpaired, to the end
+                close = self.close_of(self.i)
+                self.i = close + 1 if close >= 0 else end
                 continue
             self.i += 1
         if self.eat_if("{"):
@@ -565,28 +562,18 @@ class _BodyWalker:
         return self.prev(i) in ("<", ",") and self.texts[i + 1] in ("extends", "super", ">", ",")
 
     def _parse_instanceof(self):
-        texts, kinds = self.texts, self.kinds
+        texts = self.texts
         self.i += 1  # 'instanceof'
         self.eat_if("final")
+        if not self._scan_type():
+            return
         i = self.i
-        typed = kinds[i] == IDENT
-        if typed:
-            i += 1
-            while texts[i] == "." and kinds[i + 1] == IDENT:
-                i += 2
-            self.i = i
-        if texts[i] == "<":
-            self._skip_angles()
-            i = self.i
-        while texts[i] == "[" and texts[i + 1] == "]":
-            i += 2
-        if typed and texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
+        if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
             self._bind_components(i, self.scopes[-1])
-            i = self.match[i] + 1
-        elif kinds[i] == IDENT:  # pattern variable
+            self.i = self.match[i] + 1
+        elif self.kinds[i] == IDENT:  # pattern variable
             self.declare(texts[i])
-            i += 1
-        self.i = i
+            self.i = i + 1
 
     def _bind_components(self, open_: int, scope: Set[str]):
         """Add to ``scope`` the bindings of the record pattern whose '(' is
@@ -618,7 +605,7 @@ class _BodyWalker:
         while texts[self.i] in _DECL_HEAD_SKIP:
             self.i += 1
         if texts[self.i] == "@":  # local annotation
-            self._skip_annotation()
+            self.i = self.toks.skip_annotation(self.i, self.end)
         if self._scan_type():
             i = self.i
             name = texts[i]
@@ -658,7 +645,7 @@ class _BodyWalker:
     def _scan_type(self) -> bool:
         """Consume a type reference; False (cursor untouched) if absent."""
         texts, kinds = self.texts, self.kinds
-        save_i = i = self.i
+        i = self.i
         t = texts[i]
         if t in PRIMITIVE_TYPES or t == "var":
             i += 1
@@ -668,53 +655,16 @@ class _BodyWalker:
                 i += 2
         else:
             return False
-        self.i = i
         if texts[i] == "<":
-            if not self._skip_angles():
-                self.i = save_i
+            i = self.toks.skip_angles(i, self.end)
+            if i < 0:
                 return False
-            i = self.i
         while texts[i] == "[" and texts[i + 1] == "]":
             i += 2
         self.i = i
         return True
 
-    def _skip_angles(self) -> bool:
-        """Consume a balanced <...> group; abort on expression-ish tokens."""
-        texts = self.texts
-        level = 0
-        for i in range(self.i, self.end):
-            t = texts[i]
-            if t == "<":
-                level += 1
-            elif t == ">":
-                level -= 1
-                if level == 0:
-                    self.i = i + 1
-                    return True
-            elif t in _NOT_IN_ANGLES:
-                break
-        return False
-
     # ---- misc ---------------------------------------------------------------
-
-    def skip_parens(self):
-        """At '(': move past its ')'; an unpaired '(' runs to the end of the
-        body."""
-        close = self.close_of(self.i)
-        self.i = close + 1 if close >= 0 else self.end
-
-    def _skip_annotation(self):
-        """At '@': eat it, the annotation's dotted name and its arguments."""
-        texts, kinds = self.texts, self.kinds
-        i = self.i + 1
-        if kinds[i] == IDENT:
-            i += 1
-            while texts[i] == "." and kinds[i + 1] == IDENT:
-                i += 2
-        self.i = i
-        if texts[i] == "(":
-            self.skip_parens()
 
     def _for_control_has_semicolon(self) -> bool:
         """Classic for, not enhanced: a ';' before the ')' closing the

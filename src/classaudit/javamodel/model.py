@@ -13,15 +13,7 @@ both folds over that list (see ``metrics``).
 
 from typing import List, Optional, Set, Tuple
 
-from .._record import FrozenRecord, Record
-
-
-class AttributeDecl(FrozenRecord):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
+from .._record import Record
 
 # Event kinds, one per decision construct the body walker meets. CC counts
 # the CC kinds; CoCo scores NESTING kinds 1 + depth, FLAT kinds 1, and the
@@ -67,19 +59,16 @@ class SourceClass(Record):
     __slots__ = ("name", "qualified_name", "attributes", "methods", "has_static_member",
                  "line_span", "loc", "blank_lines", "nested")
 
-    def __init__(self, name: str, qualified_name: str, attributes: List[AttributeDecl],
+    def __init__(self, name: str, qualified_name: str, attributes: List[str],
                  methods: List[MethodView], has_static_member: bool,
                  line_span: Tuple[int, int], loc: int, blank_lines: int,
                  nested: Optional[List["SourceClass"]] = None):
         self.name = name
         self.qualified_name = qualified_name
-        self.attributes = attributes
+        self.attributes = attributes  # field names, in declaration order
         self.methods = methods
         self.has_static_member = has_static_member
         self.line_span = line_span  # 1-based inclusive
         self.loc = loc
         self.blank_lines = blank_lines
         self.nested = [] if nested is None else nested
-
-    def attribute_names(self) -> Set[str]:
-        return {a.name for a in self.attributes}

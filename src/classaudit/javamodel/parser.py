@@ -10,17 +10,17 @@ Each file is tokenized, with its bracket table, and split into lines once.
 Token lists are indexed directly (their ``""`` sentinel is read past either
 end), bracket extents are table lookups, parameter lists are cut by
 ``Tokens.split_commas``, line counts are slices of the line list, and each
-method body goes to the walker as an index range of the lists.
+method body goes to the walker as an index range of the lists. Annotations,
+type arguments and type declarations are read by the rules the walker
+reads them by, the ``Tokens`` methods.
 """
 
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
-from .model import AttributeDecl, Event, MethodView, SourceClass
+from .model import Event, MethodView, SourceClass
 from .tokens import CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
-
-_TYPE_KEYWORDS = ("class", "interface", "enum")
 
 
 def count_loc_and_blank(lines: Sequence[str], line_span: Tuple[int, int]) -> Tuple[int, int]:
@@ -71,22 +71,6 @@ class _UnitParser:
             raise ParseError(self.file_id, self.lines[i], f"unbalanced {t}{CLOSING[t]}")
         return j
 
-    def skip_annotation(self, i: int) -> int:
-        """i at '@': skip @Name or @Name(...). Returns next index."""
-        i += 1
-        while self.texts[i] == "." or self.kinds[i] == IDENT:
-            nxt = i + 1
-            if self.kinds[i] == IDENT and self.texts[nxt] == ".":
-                i = nxt + 1
-                continue
-            if self.kinds[i] == IDENT:
-                i = nxt
-                break
-            i = nxt
-        if self.texts[i] == "(":
-            i = self.close_of(i) + 1
-        return i
-
     # ---- top level ----------------------------------------------------------
 
     def parse_top_level(self) -> List[SourceClass]:
@@ -116,11 +100,11 @@ class _UnitParser:
         Collects class units found anywhere inside."""
         t = self.texts[i]
         if t == "@":
-            return self.skip_annotation(i)
+            return self.toks.skip_annotation(i, self.n)
         if t in MODIFIER_WORDS:
             return i + 1
-        if t in _TYPE_KEYWORDS or self._is_record_decl(i):
-            return self._parse_type_decl(i, prefix, units, i)
+        if self.toks.type_decl_at(i):
+            return self._parse_type_decl(i, prefix, units)
         if t == "{":
             close = self.close_of(i)
             self._scan_nested_types(i + 1, close, prefix, units)
@@ -129,25 +113,29 @@ class _UnitParser:
             return self.close_of(i) + 1
         return i + 1
 
-    def _is_record_decl(self, i: int) -> bool:
-        return self.texts[i] == "record" and self.kinds[i + 1] == IDENT and self.texts[i + 2] == "("
-
     def _decl_first_index(self, i: int) -> int:
-        """Walk back over modifiers/annotations to the declaration start."""
+        """Walk back from the token at i over modifiers and annotations
+        (``@a.b.C``, ``@a.b.C(...)``) to the declaration start."""
+        texts, kinds = self.texts, self.kinds
         j = i
         while True:
-            prev = self.texts[j - 1]
-            k = self.match[j - 1]  # the '(' of @Name(...) when prev is ')'
+            prev = texts[j - 1]
             if prev in MODIFIER_WORDS or prev == "non" or prev == "-":
                 j -= 1
-            elif self.kinds[j - 1] == IDENT and self.texts[j - 2] == "@":
-                j -= 2
-            elif prev == ")" and k >= 2 and self.texts[k - 2] == "@" and self.kinds[k - 1] == IDENT:
-                j = k - 2
-            else:
+                continue
+            k = j - 1  # the annotation's last name token
+            if prev == ")":
+                k = self.match[k] - 1  # before its '(', or -2 if unpaired
+            if k < 0 or kinds[k] != IDENT:
                 return j
+            k -= 1
+            while texts[k] == "." and kinds[k - 1] == IDENT:
+                k -= 2
+            if texts[k] != "@":
+                return j
+            j = k
 
-    def _parse_type_decl(self, i: int, prefix: str, units: List[SourceClass], decl_start: int) -> int:
+    def _parse_type_decl(self, i: int, prefix: str, units: List[SourceClass]) -> int:
         keyword = self.texts[i]
         is_annotation_decl = keyword == "interface" and self.texts[i - 1] == "@"
         name_idx = i + 1
@@ -169,7 +157,7 @@ class _UnitParser:
         body_close = self.close_of(body_open)
         qualified = f"{prefix}.{name}" if prefix else name
         if keyword == "class" and not is_annotation_decl:
-            first_line = self.lines[self._decl_first_index(decl_start)]
+            first_line = self.lines[self._decl_first_index(i)]
             unit = self._build_class(
                 name, qualified, body_open, body_close, first_line
             )
@@ -184,8 +172,8 @@ class _UnitParser:
         surrounding construct (interface/enum/record bodies, initializers)."""
         while i < end:
             t = self.texts[i]
-            if t in _TYPE_KEYWORDS and self.texts[i - 1] != "." and self.kinds[i + 1] == IDENT:
-                i = self._parse_type_decl(i, prefix, units, self._decl_first_index(i))
+            if self.toks.type_decl_at(i):
+                i = self._parse_type_decl(i, prefix, units)
                 continue
             if t == "{":
                 close = self.close_of(i)
@@ -204,8 +192,7 @@ class _UnitParser:
         body_close: int,
         first_line: int,
     ) -> SourceClass:
-        attributes: List[AttributeDecl] = []
-        attr_names: Set[str] = set()
+        attributes: Dict[str, None] = {}  # names, in declaration order
         nested: List[SourceClass] = []
         raw_methods: List[Tuple[str, List[str], List[str], Tuple[int, int]]] = []
         has_static = False
@@ -216,12 +203,11 @@ class _UnitParser:
             if t == ";":
                 i += 1
                 continue
-            decl_start = i
             mods: Set[str] = set()
             while i < body_close:
                 t = self.texts[i]
                 if t == "@" and self.texts[i + 1] != "interface":
-                    i = self.skip_annotation(i)
+                    i = self.toks.skip_annotation(i, body_close)
                 elif t in MODIFIER_WORDS:
                     mods.add(t)
                     i += 1
@@ -235,12 +221,10 @@ class _UnitParser:
             if t == "{":  # initializer block (static or instance)
                 i = self.close_of(i) + 1
                 continue
-            if t in _TYPE_KEYWORDS or self._is_record_decl(i) or (
-                t == "@" and self.texts[i + 1] == "interface"
-            ):
-                if t == "@":
-                    i += 1  # at 'interface'
-                i = self._parse_type_decl(i, qualified, nested, decl_start)
+            if t == "@":  # the loop above stops at '@' only before 'interface'
+                i += 1
+            if self.toks.type_decl_at(i):
+                i = self._parse_type_decl(i, qualified, nested)
                 continue
             member = self._parse_member(i, body_close, name)
             if member is None:
@@ -251,9 +235,7 @@ class _UnitParser:
                 if "static" in mods:
                     has_static = True
                 for fname in param_types:  # declarator names for fields
-                    if fname not in attr_names:
-                        attr_names.add(fname)
-                        attributes.append(AttributeDecl(fname))
+                    attributes[fname] = None
             elif kind_ == "method":
                 if "static" in mods:
                     has_static = True
@@ -267,12 +249,12 @@ class _UnitParser:
                 events: List[Event] = []
             else:
                 span = range(*body_span)
-                accessed, events = analyze_body(span, self.toks, attr_names, pnames, mname)
+                accessed, events = analyze_body(span, self.toks, attributes, pnames, mname)
             methods.append(
                 MethodView(
                     name=mname,
                     parameter_types=ptypes,
-                    accessed_attributes=accessed & attr_names,
+                    accessed_attributes=accessed,
                     events=events,
                 )
             )
@@ -282,7 +264,7 @@ class _UnitParser:
         return SourceClass(
             name=name,
             qualified_name=qualified,
-            attributes=attributes,
+            attributes=list(attributes),
             methods=methods,
             has_static_member=has_static,
             line_span=(first_line, last_line),
@@ -298,26 +280,24 @@ class _UnitParser:
         fields `types` carries the declarator names. None when the tokens
         cannot be understood (caller advances one token).
         """
-        # The first delimiter at angle depth 0. A generic member's head starts
-        # after its type parameters, where the depth first returns to 0.
-        head = -1 if self.texts[i] == "<" else i
-        angle = 0
-        j = i
-        while j < end:
+        # The first delimiter outside every <...>. A generic member's head
+        # starts past its type parameters. A '<' that never closes gives -1,
+        # which ends the scan.
+        toks = self.toks
+        head = toks.skip_angles(i, end) if self.texts[i] == "<" else i
+        j = head
+        while 0 <= j < end:
             t = self.texts[j]
             if t == "<":
-                angle += 1
-            elif t == ">":
-                angle = max(0, angle - 1)
-                if head < 0 and not angle:
-                    head = j + 1
-            elif not angle and t in ("(", "=", ";", ",", "{", "}"):
+                j = toks.skip_angles(j, end)
+            elif t in ("(", "=", ";", ",", "{", "}"):
                 break
-            j += 1
+            else:
+                j += 1
         else:
             return None
         if t == "(":
-            return self._parse_callable(i, head, j, end, class_name)
+            return self._parse_callable(head, j, end, class_name)
         if t in ("=", ";", ","):
             return self._parse_field(head, j, end)
         return None
@@ -354,7 +334,7 @@ class _UnitParser:
             i = max(self.match[i], i) + 1
         return min(i, end)
 
-    def _parse_callable(self, decl_start: int, head: int, paren: int, end: int, class_name: str):
+    def _parse_callable(self, head: int, paren: int, end: int, class_name: str):
         name_idx = paren - 1
         if self.kinds[name_idx] != IDENT:
             return None
@@ -395,7 +375,7 @@ class _UnitParser:
         """One parameter: [annotations] [final] Type name [ '[]'* ]."""
         while i < end and (self.texts[i] == "@" or self.texts[i] == "final"):
             if self.texts[i] == "@":
-                i = self.skip_annotation(i)
+                i = self.toks.skip_annotation(i, end)
             else:
                 i += 1
         if i >= end:

@@ -34,11 +34,22 @@ in one pass, once per file; the parser and the body walker find the extent
 of every such group in that table, by one lookup. Over a range of the
 stream, a partner outside it read as -1, the file's table equals the
 range's own: a closer pairs with the innermost open bracket of its kind,
-which is inside the range whenever one there is open. ``split_commas``
-jumps groups by the table and counts only ``<>``, which the table cannot
-hold, ``<`` being also less-than. On malformed input, a scan over a range
-takes an unpaired bracket as an ordinary token, and ends at a group whose
-partner lies past its end.
+which is inside the range whenever one there is open.
+
+The parser and the body walker share the token-level rules on ``Tokens``:
+``skip_annotation`` skips ``@a.b.C(...)``, ``skip_angles`` a balanced
+``<...>`` of type arguments, and ``type_decl_at`` tells a class,
+interface, enum or record declaration. ``split_commas`` cuts the items of
+a list. Each jumps groups by the table, and all follow one rule on
+malformed input: a scan over a range takes an unpaired bracket as an
+ordinary token, and ends at a group whose partner lies past its end.
+``skip_angles`` and ``split_commas`` count ``<>``, which the table cannot
+hold, ``<`` being also less-than. They differ on a ``<`` that never
+closes: ``skip_angles`` gives up at the first token that ends a type
+argument list as an expression instead (``NOT_IN_ANGLES``), while
+``split_commas`` must cut every list it is given, so it keeps its own
+counter, which takes a stray ``<`` as one more level: the commas after it
+split nothing.
 """
 
 import re
@@ -122,6 +133,10 @@ class _KindOf(dict):
 
 _KIND = _KindOf({'"': STRING, "'": CHAR})
 
+_TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+# Tokens that end a type argument list as an expression instead.
+NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/"})
+
 CLOSING = {"(": ")", "[": "]", "{": "}"}
 _OPENING = {close: open_ for open_, close in CLOSING.items()}
 _BRACKETS = frozenset(CLOSING) | frozenset(_OPENING)
@@ -147,6 +162,48 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.lines)
+
+    def skip_annotation(self, i: int, end: int) -> int:
+        """At '@': the index past the annotation, its dotted name
+        ``a.b.C`` and that name's ``(...)`` arguments, at most ``end``."""
+        texts, kinds = self.texts, self.kinds
+        i += 1
+        if kinds[i] == IDENT:
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == IDENT:
+                i += 2
+        if texts[i] == "(" and self.match[i] > i:
+            i = self.match[i] + 1
+        return min(i, end)
+
+    def skip_angles(self, i: int, end: int) -> int:
+        """At '<': the index past its balanced ``<...>``, bracket groups
+        jumped; -1 at ``end`` or at a token of ``NOT_IN_ANGLES``."""
+        texts, match = self.texts, self.match
+        level = 0
+        while i < end:
+            t = texts[i]
+            j = match[i]
+            if j > i:  # a group: jump it; a partner past end ends the scan
+                i = j
+            elif t == "<":
+                level += 1
+            elif t == ">":
+                level -= 1
+                if not level:
+                    return i + 1
+            elif t in NOT_IN_ANGLES:
+                return -1
+            i += 1
+        return -1
+
+    def type_decl_at(self, i: int) -> bool:
+        """Whether a class, interface or enum declaration (keyword, then a
+        name), or a record's (``record Name (``), starts at i."""
+        t = self.texts[i]
+        if t == "record":
+            return self.kinds[i + 1] == IDENT and self.texts[i + 2] == "("
+        return t in _TYPE_KEYWORDS and self.kinds[i + 1] == IDENT
 
     def split_commas(self, lo: int, hi: int) -> List[range]:
         """The comma-separated items of ``[lo, hi)``: a comma splits only

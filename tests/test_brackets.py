@@ -212,7 +212,7 @@ def test_unpaired_bracket_in_lambda_parameters_is_an_ordinary_token():
 
 def test_unpaired_bracket_in_an_initializer_is_an_ordinary_token():
     (cls,) = parse_compilation_unit("class A { int a = ( 1, b; }")
-    assert [a.name for a in cls.attributes] == ["a", "b"]
+    assert cls.attributes == ["a", "b"]
 
 
 @pytest.mark.parametrize("member, methods", [

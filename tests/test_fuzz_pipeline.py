@@ -1,18 +1,25 @@
 """Whole-pipeline token-mutation fuzz over the fixtures.
 
 Each fixture's tokens get a few seeded edits (delete, duplicate or swap a
-token, or inject a bracket), and separately every prefix and suffix of its
-tokens is taken, so that the parser's look-ahead and look-behind meet the
-ends of the stream. Each result goes through `parse_compilation_unit` and
-`class_metrics`. It must either parse, with every class's metrics inside
-their theoretical ranges, or raise `ParseError` or `RecursionError`, which
-ingest reports as SKIP lines. Any other exception is a failure. The fuzz
-runs in a subprocess with a timeout, because a hang is a failure too.
+token, or inject one token of an alphabet: the brackets, or the brackets
+plus the ``< > @ . , ?`` that type arguments and annotations are read
+from), and separately every prefix and suffix of its tokens is taken, so
+that the parser's look-ahead and look-behind meet the ends of the stream.
+Each result goes through `parse_compilation_unit` and `class_metrics`. It
+must either parse, with every class's metrics inside their theoretical
+ranges, or raise `ParseError` or `RecursionError`, which ingest reports as
+SKIP lines. Any other exception is a failure. The fuzz runs in a
+subprocess with a timeout, because a hang is a failure too.
 
-Run as a script, ``python tests/test_fuzz_pipeline.py SEED`` prints the
-failures of one seed's mutants as a JSON list, and
+Run as a script, ``python tests/test_fuzz_pipeline.py SEED [ALPHABET]``
+prints the failures of one seed's mutants as a JSON list (``ALPHABET`` is
+``brackets``, the default, or ``tokens``), and
 ``python tests/test_fuzz_pipeline.py cuts`` those of the prefixes and
-suffixes.
+suffixes. ``python tests/test_fuzz_pipeline.py dump SEEDS`` prints one line
+per input instead, the fixtures, their cuts and both alphabets' mutants of
+seeds 0 to SEEDS - 1: its label, then its classes' parse and metrics, or
+the exception raised. ``diff`` of two checkouts' dumps shows every change
+of behaviour between them.
 """
 
 import json
@@ -29,9 +36,10 @@ FIXTURES = sorted(Path(__file__).resolve().parent.joinpath("fixtures").rglob("*.
 SEEDS = range(10)
 MUTANTS_PER_FIXTURE = 5
 BRACKETS = ["{", "}", "(", ")", "[", "]"]
+ALPHABETS = {"brackets": BRACKETS, "tokens": BRACKETS + ["<", ">", "@", ".", ",", "?"]}
 
 
-def mutate(texts, rng):
+def mutate(texts, rng, alphabet=BRACKETS):
     """1 to 4 seeded token edits of a token-text list, joined as source."""
     mutated = list(texts)
     for _ in range(rng.randint(1, 4)):
@@ -44,7 +52,7 @@ def mutate(texts, rng):
         elif op == 2 and k + 1 < len(mutated):
             mutated[k], mutated[k + 1] = mutated[k + 1], mutated[k]
         else:
-            mutated.insert(k, rng.choice(BRACKETS))
+            mutated.insert(k, rng.choice(alphabet))
     return " ".join(mutated)
 
 
@@ -64,35 +72,49 @@ def out_of_range(m):
     return bad
 
 
-def sources(which):
-    """(fixture name, source) pairs: the mutants of seed ``which``, or with
-    ``"cuts"`` every token prefix and suffix of every fixture."""
+def sources(which, alphabet="brackets"):
+    """(label, source) pairs, each label starting with the fixture's name:
+    the mutants of seed ``which`` over an alphabet of ``ALPHABETS``, with
+    ``"cuts"`` every token prefix and suffix of every fixture, or with
+    ``"fixtures"`` each fixture whole."""
     from classaudit.javamodel import tokenize
 
     rng = random.Random(which)
     for path in FIXTURES:
+        name = path.name
+        if which == "fixtures":
+            yield name, path.read_text(encoding="utf-8")
+            continue
         texts = tokenize(path.read_text(encoding="utf-8")).texts[:-1]
         if which == "cuts":
             for cut in range(len(texts) + 1):
-                yield path.name, " ".join(texts[:cut])
-                yield path.name, " ".join(texts[cut:])
+                yield f"{name} prefix {cut}", " ".join(texts[:cut])
+                yield f"{name} suffix {cut}", " ".join(texts[cut:])
         else:
-            for _ in range(MUTANTS_PER_FIXTURE):
-                yield path.name, mutate(texts, rng)
+            for k in range(MUTANTS_PER_FIXTURE):
+                yield f"{name} {alphabet} {which}.{k}", mutate(texts, rng, ALPHABETS[alphabet])
 
 
-def fuzz(which):
-    from classaudit.errors import ParseError
+def walk_classes(name, source):
+    """Every class parsed from ``source``, nested ones included."""
     from classaudit.javamodel import parse_compilation_unit
+
+    pending = parse_compilation_unit(source, name)
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.nested)
+        yield cls
+
+
+def fuzz(which, alphabet="brackets"):
+    from classaudit.errors import ParseError
     from classaudit.metrics import class_metrics
 
     failures = []
-    for name, source in sources(which):
+    for label, source in sources(which, alphabet):
+        name = label.split()[0]
         try:
-            pending = parse_compilation_unit(source, name)
-            while pending:
-                cls = pending.pop()
-                pending.extend(cls.nested)
+            for cls in walk_classes(name, source):
                 for problem in out_of_range(class_metrics(cls)):
                     failures.append(f"{name} {cls.qualified_name}: {problem}\n{source}")
         except (ParseError, RecursionError):
@@ -102,9 +124,32 @@ def fuzz(which):
     return failures
 
 
-def run_fuzz(which):
+def dump(seeds):
+    """One line per input: its label, then the classes' normalized parse
+    and metrics, or the exception raised, as JSON."""
+    from classaudit.metrics import class_metrics
+
+    inputs = [sources("fixtures"), sources("cuts")]
+    inputs += [sources(seed, alphabet) for alphabet in ALPHABETS for seed in range(seeds)]
+    for group in inputs:
+        for label, source in group:
+            try:
+                result = [
+                    [cls.qualified_name, cls.line_span, cls.loc, cls.blank_lines,
+                     cls.has_static_member, cls.attributes,
+                     [[m.name, m.parameter_types, sorted(m.accessed_attributes), m.events]
+                      for m in cls.methods],
+                     repr(class_metrics(cls))]
+                    for cls in walk_classes(label.split()[0], source)
+                ]
+            except Exception as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            print(label, json.dumps(result))
+
+
+def run_fuzz(*which):
     result = subprocess.run(
-        [sys.executable, __file__, which],
+        [sys.executable, __file__, *which],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -119,10 +164,18 @@ def test_mutated_fixtures_parse_or_skip_with_metrics_in_range(seed):
     assert run_fuzz(str(seed)) == []
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_token_mutated_fixtures_parse_or_skip_with_metrics_in_range(seed):
+    assert run_fuzz(str(seed), "tokens") == []
+
+
 def test_every_prefix_and_suffix_of_a_fixture_parses_or_skips():
     assert run_fuzz("cuts") == []
 
 
 if __name__ == "__main__":
     which = sys.argv[1]
-    print(json.dumps(fuzz(which if which == "cuts" else int(which))))
+    if which == "dump":
+        dump(int(sys.argv[2]))
+    else:
+        print(json.dumps(fuzz(which if which == "cuts" else int(which), *sys.argv[2:])))

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classaudit.javamodel import parse_compilation_unit
-from classaudit.javamodel.model import AttributeDecl, MethodView, SourceClass
+from classaudit.javamodel.model import MethodView, SourceClass
 from classaudit.metrics import class_metrics, lcom5, method_cc, method_coco, nhd
 
 
 def make_class(n_attrs, accesses, param_types=None):
     """Synthetic class: accesses[i] = attribute-index set of method i."""
-    attrs = [AttributeDecl(f"a{i}") for i in range(n_attrs)]
+    attrs = [f"a{i}" for i in range(n_attrs)]
     param_types = param_types or [[] for _ in accesses]
     methods = [
         MethodView(

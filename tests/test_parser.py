@@ -1,4 +1,9 @@
+import subprocess
+import sys
+
 import pytest
+
+from conftest import child_env
 
 from classaudit.errors import ParseError, SpanOutOfBounds
 from classaudit.javamodel import count_loc_and_blank, parse_compilation_unit
@@ -23,7 +28,7 @@ def test_minimal_class():
     assert len(classes) == 1
     a = classes[0]
     assert a.name == "A"
-    assert [attr.name for attr in a.attributes] == ["x"]
+    assert a.attributes == ["x"]
     assert [m.name for m in a.methods] == ["f"]
     assert a.methods[0].accessed_attributes == {"x"}
 
@@ -42,8 +47,8 @@ def test_nested_classes_are_independent():
     classes = flat(parse("class A { class B { int y; } int x; }"))
     names = {c.name: c for c in classes}
     assert set(names) == {"A", "B"}
-    assert [a.name for a in names["A"].attributes] == ["x"]
-    assert [a.name for a in names["B"].attributes] == ["y"]
+    assert names["A"].attributes == ["x"]
+    assert names["B"].attributes == ["y"]
 
 
 def test_class_nested_in_interface_is_a_unit():
@@ -118,13 +123,13 @@ class A {
 def test_multi_declarator_fields_and_initializers():
     code = "class A { int a = 1, b, c = f(1, 2); Runnable r = () -> {}; }"
     a = parse(code)[0]
-    assert [attr.name for attr in a.attributes] == ["a", "b", "c", "r"]
+    assert a.attributes == ["a", "b", "c", "r"]
 
 
 def test_field_with_anonymous_class_initializer():
     code = "class A { Runnable r = new Runnable() { public void run() {} }; int z; }"
     a = parse(code)[0]
-    assert [attr.name for attr in a.attributes] == ["r", "z"]
+    assert a.attributes == ["r", "z"]
 
 
 def test_abstract_method_counts_with_empty_body():
@@ -204,7 +209,7 @@ def test_accessed_attributes_always_subset(metrics_dir, corpus_dir):
     for directory in (metrics_dir, corpus_dir):
         for path in sorted(directory.glob("*.java")):
             for cls in flat(parse(path.read_text(), str(path))):
-                names = cls.attribute_names()
+                names = set(cls.attributes)
                 for m in cls.methods:
                     assert m.accessed_attributes <= names, (path, cls.name, m.name)
 
@@ -213,6 +218,52 @@ def test_annotated_class_span_starts_at_annotation():
     code = "@Deprecated\nclass A {\n int x;\n}\n"
     a = parse(code)[0]
     assert a.line_span == (1, 4)
+
+
+@pytest.mark.parametrize("annotation", [
+    "@Deprecated",
+    "@java.lang.Deprecated",
+    '@SuppressWarnings("x")',
+    '@java.lang.SuppressWarnings("x")',
+])
+@pytest.mark.parametrize("head, tail", [
+    ("", ""),
+    ("class A {\n", "}\n"),
+    ("interface I {\n", "}\n"),
+], ids=["top_level", "in_class", "in_interface"])
+def test_class_span_starts_at_its_annotation_however_named(annotation, head, tail):
+    code = f"package p;\n{head}{annotation}\nclass C {{\n int x;\n}}\n{tail}"
+    (cls,) = [c for c in flat(parse(code)) if c.name == "C"]
+    first = 2 + head.count("\n")
+    assert cls.line_span == (first, first + 3)
+    assert cls.loc == 4
+
+
+@pytest.mark.parametrize("outer", ["class A {", "interface A {", "enum A { X;"],
+                         ids=["class", "interface", "enum"])
+def test_class_in_a_record_is_qualified_by_the_record(outer):
+    code = "package p; " + outer + " record R(int x) { class C { } } }"
+    assert [c.qualified_name for c in flat(parse(code)) if c.name == "C"] == ["p.A.R.C"]
+
+
+def test_member_scan_after_an_unclosed_angle_is_linear():
+    # Each `int < x ;` starts a member scan that meets a `<` never closed.
+    # Scanning such a `<` to the end of the class body for every token
+    # took time quadratic in the body's length.
+    script = (
+        "from classaudit.javamodel import parse_compilation_unit\n"
+        "(cls,) = parse_compilation_unit('class A { ' + 'int < x ; ' * 16000 + '}')\n"
+        "print(cls.attributes)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["['x']"]
 
 
 def test_two_top_level_classes():

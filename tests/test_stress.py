@@ -35,7 +35,7 @@ def test_units_found():
 
 def test_kitchen_sink_members():
     ks = parse_compilation_unit(SRC)[0]
-    assert [a.name for a in ks.attributes] == [
+    assert ks.attributes == [
         "BANNER", "counter", "table", "sizes", "a", "b", "c", "armed"
     ]
     assert ks.has_static_member
@@ -69,4 +69,4 @@ def test_varargs_and_wildcard_types():
 def test_text_block_does_not_break_structure():
     ks = parse_compilation_unit(SRC)[0]
     assert ks.line_span[0] == 6  # @Deprecated line
-    assert ks.attributes[0].name == "BANNER"
+    assert ks.attributes[0] == "BANNER"
