@@ -139,10 +139,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", required=True, choices=["source", "cam"],
                         help="analyze Java source trees or a pre-computed metrics CSV")
     parser.add_argument("--input", required=True, action="append", metavar="PATH",
+                        dest="inputs",
                         help="source root (source mode) or CSV file (cam mode); repeatable")
-    parser.add_argument("--cam-map", metavar="FILE",
+    parser.add_argument("--cam-map", metavar="FILE", dest="cam_map_path",
                         help="JSON file mapping logical keys to CSV column names")
-    parser.add_argument("--rules", metavar="FILE",
+    parser.add_argument("--rules", metavar="FILE", dest="rules_path",
                         help="suffix rules file ([utils] / [exclude] sections)")
     parser.add_argument("--q-low", default="0.01", metavar="Q",
                         help="lower outlier quantile (default 0.01)")
@@ -161,24 +162,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv: List[str]) -> RunConfig:
-    args = build_arg_parser().parse_args(argv)
+    fields = vars(build_arg_parser().parse_args(argv))
     try:
-        q_low = Fraction(args.q_low)
-        q_high = Fraction(args.q_high)
+        q_low, q_high = Fraction(fields["q_low"]), Fraction(fields["q_high"])
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad quantile value: --q-low={args.q_low} --q-high={args.q_high}")
-    return RunConfig(
-        mode=args.mode,
-        inputs=args.input,
-        cam_map_path=args.cam_map,
-        rules_path=args.rules,
-        q_low=q_low,
-        q_high=q_high,
-        excluded_to=args.excluded_to,
-        output_format=args.output_format,
-        charts_dir=args.charts_dir,
-        diagnostics_path=args.diagnostics_path,
-    )
+        raise ConfigError(
+            f"bad quantile value: --q-low={fields['q_low']} --q-high={fields['q_high']}"
+        )
+    fields.update(q_low=q_low, q_high=q_high)
+    return RunConfig(**fields)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

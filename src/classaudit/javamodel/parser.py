@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
 from .model import Event, MethodView, SourceClass
-from .tokens import CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
+from .tokens import _TYPE_KEYWORDS, CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
 
 
 def count_loc_and_blank(lines: Sequence[str], line_span: Tuple[int, int]) -> Tuple[int, int]:
@@ -99,7 +99,7 @@ class _UnitParser:
         """Handle one construct starting at i; returns the index after it.
         Collects class units found anywhere inside."""
         t = self.texts[i]
-        if t == "@":
+        if t == "@" and self.texts[i + 1] != "interface":
             return self.toks.skip_annotation(i, self.n)
         if t in MODIFIER_WORDS:
             return i + 1
@@ -223,7 +223,8 @@ class _UnitParser:
                 continue
             if t == "@":  # the loop above stops at '@' only before 'interface'
                 i += 1
-            if self.toks.type_decl_at(i):
+            # _parse_type_decl steps over a type keyword not followed by a name
+            if self.texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
                 i = self._parse_type_decl(i, qualified, nested)
                 continue
             member = self._parse_member(i, body_close, name)

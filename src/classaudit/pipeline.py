@@ -11,7 +11,7 @@ import math
 import os
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Union
 
 from ._record import Record
 from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
@@ -399,20 +399,12 @@ def filter_records(
     records: Iterable[ClassRecord],
     q_low: Union[float, Fraction] = Fraction(1, 100),
     q_high: Union[float, Fraction] = Fraction(99, 100),
-    frozen_bounds: Optional[Tuple[float, float]] = None,
 ) -> FilterOutcome:
-    """Apply the three drops in order; thresholds are computed once.
-
-    `frozen_bounds` reuses (q_low_value, q_high_value) from an earlier pass
-    instead of recomputing them, which makes filtering idempotent.
-    """
+    """Apply the three drops in order; thresholds are computed once."""
     materialized = list(records)
     with_metrics = [r for r in materialized if _metrics_defined(r)]
     dropped_by_metric = len(materialized) - len(with_metrics)
-    if frozen_bounds is not None:
-        lo, hi = frozen_bounds
-        in_bounds = [r for r in with_metrics if lo <= r.ncloc <= hi]
-    elif with_metrics:
+    if with_metrics:
         population = sorted(r.ncloc for r in with_metrics)
         lo = quantile(population, q_low)
         hi = quantile(population, q_high)

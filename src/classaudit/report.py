@@ -7,22 +7,55 @@ column (highest LCOM5, lowest NHD) and the highest cell per complexity
 column are marked with `*`; ties mark every tied cell. Marking compares the
 rendered 3-decimal values, so what is starred is what the reader sees.
 
+`TABLES` and `TALLIES` are the one place the layout lives: which columns
+and pipeline tallies appear, in which order, under which text and CSV/JSON
+names, read from which field, and which cells are marked. The text, CSV
+and JSON renderers all loop over them.
+
 Charts are written as self-contained SVG (no plotting dependency), one per
 metric (LCOM5, NHD, CoCo, CC), with a companion CSV holding the same
 numbers to the same printed precision. Output is byte-stable run to run.
 """
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .pipeline import FilterOutcome, GroupSummary
 
 _UNDERLINE = "\x1b[4m"
 _RESET = "\x1b[0m"
 
-SIZE_COLUMNS = ("Classes", "LoC", "L/C")
-COHESION_COLUMNS = ("LCOM5", "NHD")
-COMPLEXITY_COLUMNS = ("CC", "CoCo", "ACoCo", "MxCoCo", "MnCoCo")
+# (key, title, columns); a column is (header, CSV/JSON key, GroupSummary
+# field, worst). `worst` is `str` for a count, printed as an integer; None
+# for a mean never marked; `max` or `min` for a mean marked where it is worst.
+TABLES = (
+    ("size", "Group sizes", (
+        ("Classes", "classes", "class_count", str),
+        ("LoC", "loc", "loc_total", str),
+        ("L/C", "l_per_c", "loc_per_class", None),
+    )),
+    ("cohesion", "Cohesion", (
+        ("LCOM5", "lcom5", "lcom5_mean", max),
+        ("NHD", "nhd", "nhd_mean", min),
+    )),
+    ("complexity", "Complexity", (
+        ("CC", "cc", "cc_mean", max),
+        ("CoCo", "coco", "coco_mean", max),
+        ("ACoCo", "acoco", "acoco_mean", max),
+        ("MxCoCo", "mxcoco", "mxcoco_mean", max),
+        ("MnCoCo", "mncoco", "mncoco_mean", max),
+    )),
+)
+
+# (text label, CSV/JSON key, FilterOutcome field); the skipped count has none.
+TALLIES = (
+    ("Input classes", "input", "input_count"),
+    ("Kept", "kept", "output_count"),
+    ("Dropped: metric", "dropped_metric", "dropped_by_metric"),
+    ("Dropped: outlier", "dropped_quantile", "dropped_by_quantile"),
+    ("Dropped: label", "dropped_label", "dropped_by_label"),
+    ("Skipped inputs", "skipped", None),
+)
 
 
 def fmt3(value: Optional[float]) -> str:
@@ -36,37 +69,14 @@ def _rounded(value: Optional[float]) -> Optional[float]:
     return None if value is None else float(fmt3(value))
 
 
-def _visible_rows(summaries: Sequence[GroupSummary]) -> List[GroupSummary]:
-    return [s for s in summaries if s.class_count > 0]
+def _shown(s: GroupSummary, field: str, worst) -> str:
+    value = getattr(s, field)
+    return str(value) if worst is str else fmt3(value)
 
 
-def _size_cells(s: GroupSummary) -> List[str]:
-    return [str(s.class_count), str(s.loc_total), fmt3(s.loc_per_class)]
-
-
-def _cohesion_values(s: GroupSummary) -> List[Optional[float]]:
-    return [s.lcom5_mean, s.nhd_mean]
-
-
-def _complexity_values(s: GroupSummary) -> List[Optional[float]]:
-    return [s.cc_mean, s.coco_mean, s.acoco_mean, s.mxcoco_mean, s.mncoco_mean]
-
-
-def _mark_worst(rows: List[List[Optional[float]]], mark_min: Sequence[bool]) -> List[List[bool]]:
-    """Flag per cell; compares rendered values so ties follow the printout."""
-    marks = [[False] * len(mark_min) for _ in rows]
-    if not rows:
-        return marks
-    for col, minimize in enumerate(mark_min):
-        rendered = [_rounded(row[col]) for row in rows]
-        defined = [v for v in rendered if v is not None]
-        if not defined:
-            continue
-        target = min(defined) if minimize else max(defined)
-        for r, v in enumerate(rendered):
-            if v is not None and v == target:
-                marks[r][col] = True
-    return marks
+def _tallies(pipeline: FilterOutcome, skipped: int) -> List[Tuple[str, str, int]]:
+    return [(label, key, skipped if field is None else getattr(pipeline, field))
+            for label, key, field in TALLIES]
 
 
 def render_tables(
@@ -77,7 +87,7 @@ def render_tables(
     style: bool = False,
 ) -> str:
     """Render all three tables (plus the drop tallies) in one string."""
-    rows = _visible_rows(summaries)
+    rows = [s for s in summaries if s.class_count > 0]
     if format == "text":
         return _render_text(rows, pipeline, skipped, style)
     if format == "csv":
@@ -89,154 +99,73 @@ def render_tables(
 
 def _render_text(rows, pipeline, skipped, style) -> str:
     out: List[str] = []
-
-    def table(title: str, headers: Tuple[str, ...], body: List[List[str]]):
+    for _, title, columns in TABLES:
+        body = [[s.label.value] + [_shown(s, field, worst) for _, _, field, worst in columns]
+                for s in rows]
+        # Star each column's worst cells, comparing values as rendered.
+        for col, (_, _, field, worst) in enumerate(columns, 1):
+            values = [_rounded(getattr(s, field)) for s in rows]
+            defined = [v for v in values if v is not None]
+            if worst in (max, min) and defined:
+                target = worst(defined)
+                for cells, value in zip(body, values):
+                    if value == target:
+                        cells[col] = "*" + cells[col]
+        head = ["Group"] + [header for header, _, _, _ in columns]
+        widths = [max(map(len, cells)) for cells in zip(head, *body)]
         out.append(title)
-        widths = [len(h) for h in ("Group",) + headers]
-        plain = [[_strip_ansi(c) for c in row] for row in body]
-        for row in plain:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        header_line = "  ".join(
-            h.ljust(widths[0]) if i == 0 else h.rjust(widths[i])
-            for i, h in enumerate(("Group",) + headers)
-        )
-        out.append(header_line)
-        for styled_row, plain_row in zip(body, plain):
-            cells = []
-            for i, (cell, bare) in enumerate(zip(styled_row, plain_row)):
-                pad = widths[i] - len(bare)
-                cells.append(cell + " " * pad if i == 0 else " " * pad + cell)
-            out.append("  ".join(cells))
+        for cells in [head] + body:
+            line = [cells[0].ljust(widths[0])]
+            for cell, width in zip(cells[1:], widths[1:]):
+                pad = " " * (width - len(cell))
+                if style and cell[0] == "*":
+                    cell = _UNDERLINE + cell + _RESET
+                line.append(pad + cell)
+            out.append("  ".join(line))
         out.append("")
-
-    size_body = [[s.label.value] + _size_cells(s) for s in rows]
-    table("Group sizes", SIZE_COLUMNS, size_body)
-
-    coh_rows = [_cohesion_values(s) for s in rows]
-    coh_marks = _mark_worst(coh_rows, mark_min=(False, True))
-    coh_body = [
-        [s.label.value] + [_cell(v, m, style) for v, m in zip(vals, marks)]
-        for s, vals, marks in zip(rows, coh_rows, coh_marks)
-    ]
-    table("Cohesion", COHESION_COLUMNS, coh_body)
-
-    cpx_rows = [_complexity_values(s) for s in rows]
-    cpx_marks = _mark_worst(cpx_rows, mark_min=(False,) * 5)
-    cpx_body = [
-        [s.label.value] + [_cell(v, m, style) for v, m in zip(vals, marks)]
-        for s, vals, marks in zip(rows, cpx_rows, cpx_marks)
-    ]
-    table("Complexity", COMPLEXITY_COLUMNS, cpx_body)
-
     if pipeline is not None:
         out.append("Pipeline")
-        out.append(f"Input classes      {pipeline.input_count}")
-        out.append(f"Kept               {pipeline.output_count}")
-        out.append(f"Dropped: metric    {pipeline.dropped_by_metric}")
-        out.append(f"Dropped: outlier   {pipeline.dropped_by_quantile}")
-        out.append(f"Dropped: label     {pipeline.dropped_by_label}")
-        out.append(f"Skipped inputs     {skipped}")
+        out += [f"{label:<19}{value}" for label, _, value in _tallies(pipeline, skipped)]
         out.append("")
     return "\n".join(out)
 
 
-def _cell(value: Optional[float], marked: bool, style: bool) -> str:
-    text = fmt3(value)
-    if marked and value is not None:
-        text = "*" + text
-        if style:
-            text = _UNDERLINE + text + _RESET
-    return text
-
-
-def _strip_ansi(text: str) -> str:
-    return text.replace(_UNDERLINE, "").replace(_RESET, "")
-
-
-_CSV_COLUMN_KEYS = {
-    "size": ("classes", "loc", "l_per_c"),
-    "cohesion": ("lcom5", "nhd"),
-    "complexity": ("cc", "coco", "acoco", "mxcoco", "mncoco"),
-}
-
-
-def _table_values(table: str, s: GroupSummary) -> List[str]:
-    if table == "size":
-        return _size_cells(s)
-    if table == "cohesion":
-        return [fmt3(v) for v in _cohesion_values(s)]
-    return [fmt3(v) for v in _complexity_values(s)]
-
-
 def _render_csv(rows, pipeline, skipped) -> str:
     lines = ["table,group,column,value"]
-    for tname in ("size", "cohesion", "complexity"):
+    for key, _, columns in TABLES:
         for s in rows:
-            for key, cell in zip(_CSV_COLUMN_KEYS[tname], _table_values(tname, s)):
-                lines.append(f"{tname},{s.label.value},{key},{cell}")
+            for _, name, field, worst in columns:
+                lines.append(f"{key},{s.label.value},{name},{_shown(s, field, worst)}")
     if pipeline is not None:
-        lines.append(f"pipeline,,input,{pipeline.input_count}")
-        lines.append(f"pipeline,,kept,{pipeline.output_count}")
-        lines.append(f"pipeline,,dropped_metric,{pipeline.dropped_by_metric}")
-        lines.append(f"pipeline,,dropped_quantile,{pipeline.dropped_by_quantile}")
-        lines.append(f"pipeline,,dropped_label,{pipeline.dropped_by_label}")
-        lines.append(f"pipeline,,skipped,{skipped}")
+        lines += [f"pipeline,,{key},{value}" for _, key, value in _tallies(pipeline, skipped)]
     return "\n".join(lines) + "\n"
 
 
 def _render_json(rows, pipeline, skipped) -> str:
     import json  # only a --format=json run writes JSON
 
-    doc: Dict[str, object] = {
-        "size": [
-            {
-                "group": s.label.value,
-                "classes": s.class_count,
-                "loc": s.loc_total,
-                "l_per_c": _rounded(s.loc_per_class),
-            }
+    doc = {
+        key: [
+            {"group": s.label.value, **{
+                name: getattr(s, field) if worst is str else _rounded(getattr(s, field))
+                for _, name, field, worst in columns
+            }}
             for s in rows
-        ],
-        "cohesion": [
-            {
-                "group": s.label.value,
-                "lcom5": _rounded(s.lcom5_mean),
-                "nhd": _rounded(s.nhd_mean),
-            }
-            for s in rows
-        ],
-        "complexity": [
-            {
-                "group": s.label.value,
-                "cc": _rounded(s.cc_mean),
-                "coco": _rounded(s.coco_mean),
-                "acoco": _rounded(s.acoco_mean),
-                "mxcoco": _rounded(s.mxcoco_mean),
-                "mncoco": _rounded(s.mncoco_mean),
-            }
-            for s in rows
-        ],
+        ]
+        for key, _, columns in TABLES
     }
     if pipeline is not None:
-        doc["pipeline"] = {
-            "input": pipeline.input_count,
-            "kept": pipeline.output_count,
-            "dropped_metric": pipeline.dropped_by_metric,
-            "dropped_quantile": pipeline.dropped_by_quantile,
-            "dropped_label": pipeline.dropped_by_label,
-            "skipped": skipped,
-        }
+        doc["pipeline"] = {key: value for _, key, value in _tallies(pipeline, skipped)}
     return json.dumps(doc, indent=2) + "\n"
 
 
 # ---- charts ----------------------------------------------------------------
 
 CHART_SPECS = (
-    ("lcom5", "Mean LCOM5 by group", lambda s: s.lcom5_mean),
-    ("nhd", "Mean NHD by group", lambda s: s.nhd_mean),
-    ("coco", "Mean total cognitive complexity by group", lambda s: s.coco_mean),
-    ("cc", "Mean total cyclomatic complexity by group", lambda s: s.cc_mean),
+    ("lcom5", "Mean LCOM5 by group", "lcom5_mean"),
+    ("nhd", "Mean NHD by group", "nhd_mean"),
+    ("coco", "Mean total cognitive complexity by group", "coco_mean"),
+    ("cc", "Mean total cyclomatic complexity by group", "cc_mean"),
 )
 
 _BAR_COLORS = {"ErOr": "#4878a8", "Utils": "#e49444", "Rest": "#6a9f58"}
@@ -250,15 +179,13 @@ def emit_chart_data(summaries: Sequence[GroupSummary], out_dir: str) -> List[str
 
     Groups without classes get no bar; with nothing to draw, returns [].
     """
-    rows = [
-        s for s in _visible_rows(summaries)
-    ]
+    rows = [s for s in summaries if s.class_count > 0]
     written: List[str] = []
     if not rows:
         return written
     os.makedirs(out_dir, exist_ok=True)
-    for stem, title, pick in CHART_SPECS:
-        points = [(s.label.value, _rounded(pick(s))) for s in rows]
+    for stem, title, field in CHART_SPECS:
+        points = [(s.label.value, _rounded(getattr(s, field))) for s in rows]
         points = [(g, v) for g, v in points if v is not None]
         if not points:
             continue

@@ -362,7 +362,15 @@ def test_criterion_6_cam_replication():
 
 # ---------------------------------------------------------------- criterion 7
 
-def test_criterion_7_golden_end_to_end(corpus_dir, golden_dir, tmp_path):
+class _Terminal(io.StringIO):
+    """An output stream that says it is a terminal, as a styled run needs."""
+
+    def isatty(self):
+        return True
+
+
+def test_criterion_7_golden_end_to_end(corpus_dir, golden_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("AUDIT_NO_COLOR", raising=False)
     started = time.perf_counter()
     results = {}
     for fmt in ("text", "csv", "json"):
@@ -376,33 +384,27 @@ def test_criterion_7_golden_end_to_end(corpus_dir, golden_dir, tmp_path):
         code = run(config, out=out, err=err)
         assert code == 0
         results[fmt] = out.getvalue()
+    styled = _Terminal()
+    assert run(RunConfig(mode="source", inputs=[str(corpus_dir)]),
+               out=styled, err=io.StringIO()) == 0
+    results["styled"] = styled.getvalue()
     elapsed = time.perf_counter() - started
 
     mismatches = []
-    if results["text"] != (golden_dir / "tables.txt").read_text():
-        mismatches.append("tables.txt")
-    if results["csv"] != (golden_dir / "tables.csv").read_text():
-        mismatches.append("tables.csv")
-    if results["json"] != (golden_dir / "tables.json").read_text():
-        mismatches.append("tables.json")
+    for key, name in (("text", "tables.txt"), ("csv", "tables.csv"),
+                      ("json", "tables.json"), ("styled", "tables_styled.txt")):
+        if results[key] != (golden_dir / name).read_text():
+            mismatches.append(name)
     for stem in ("lcom5", "nhd", "coco", "cc"):
-        got = (tmp_path / "charts" / f"{stem}.csv").read_bytes()
-        want = (golden_dir / "charts" / f"{stem}.csv").read_bytes()
-        if got != want:
-            mismatches.append(f"charts/{stem}.csv")
-
-    # chart SVGs are byte-stable across runs
-    rerun_dir = tmp_path / "charts2"
-    out = io.StringIO()
-    run(RunConfig(mode="source", inputs=[str(corpus_dir)], charts_dir=str(rerun_dir)),
-        out=out, err=io.StringIO())
-    for svg in sorted((tmp_path / "charts").glob("*.svg")):
-        if svg.read_bytes() != (rerun_dir / svg.name).read_bytes():
-            mismatches.append(f"{svg.name} not deterministic")
+        for ext in ("csv", "svg"):
+            got = (tmp_path / "charts" / f"{stem}.{ext}").read_bytes()
+            want = (golden_dir / "charts" / f"{stem}.{ext}").read_bytes()
+            if got != want:
+                mismatches.append(f"charts/{stem}.{ext}")
 
     report(
         7,
         not mismatches and elapsed < 2.0,
-        f"golden tables and chart CSVs byte-identical in {elapsed:.3f}s"
+        f"golden tables (plain and styled), chart CSVs and SVGs byte-identical in {elapsed:.3f}s"
         + ("" if not mismatches else f"; mismatches: {mismatches}"),
     )

@@ -246,6 +246,23 @@ def test_class_in_a_record_is_qualified_by_the_record(outer):
     assert [c.qualified_name for c in flat(parse(code)) if c.name == "C"] == ["p.A.R.C"]
 
 
+@pytest.mark.parametrize("head, tail, qualified", [
+    ("", "", "p.M.C"),
+    ("@Deprecated ", "", "p.M.C"),
+    ("class A { ", " }", "p.A.M.C"),
+    ("interface I { ", " }", "p.I.M.C"),
+], ids=["top_level", "annotated", "in_class", "in_interface"])
+def test_class_in_an_annotation_type_is_qualified_by_it(head, tail, qualified):
+    code = f"package p; {head}@interface M {{ class C {{ }} }}{tail}"
+    assert [c.qualified_name for c in flat(parse(code)) if c.name == "C"] == [qualified]
+
+
+@pytest.mark.parametrize("keyword", ["sealed class", "interface", "enum"])
+def test_type_keyword_without_a_name_is_no_field(keyword):
+    (a,) = parse(f"class A {{ {keyword} ; Line {{ int y; }} int x; }}")
+    assert a.attributes == ["x"]
+
+
 def test_member_scan_after_an_unclosed_angle_is_linear():
     # Each `int < x ;` starts a member scan that meets a `<` never closed.
     # Scanning such a `<` to the end of the class body for every token

@@ -154,14 +154,23 @@ def test_boundary_values_kept():
 
 
 def test_filter_idempotent_with_frozen_thresholds():
+    # Filtering again at the outcome's own thresholds drops nothing: every
+    # kept record has defined metrics, a label that is not Dropped, and an
+    # NCLOC within [q_low_value, q_high_value].
     rng = random.Random(9)
-    records = [record(name=f"C{i}", ncloc=rng.randint(1, 500)) for i in range(400)]
+    kinds = (GroupKind.EROR, GroupKind.UTILS, GroupKind.REST, GroupKind.DROPPED)
+    records = [
+        record(name=f"C{i}", ncloc=rng.randint(1, 500), label=rng.choice(kinds),
+               lcom5=None if rng.random() < 0.1 else 0.5)
+        for i in range(400)
+    ]
     once = filter_records(records)
-    twice = filter_records(
-        once.kept, frozen_bounds=(once.q_low_value, once.q_high_value)
-    )
-    assert [r.qualified_name for r in twice.kept] == [r.qualified_name for r in once.kept]
-    assert twice.dropped_by_metric == twice.dropped_by_quantile == twice.dropped_by_label == 0
+    assert once.kept and once.dropped_by_metric and once.dropped_by_quantile
+    assert once.dropped_by_label
+    for r in once.kept:
+        assert r.metrics_complete and not r.metrics.has_undefined()
+        assert r.label.kind is not GroupKind.DROPPED
+        assert once.q_low_value <= r.ncloc <= once.q_high_value
 
 
 # ---- aggregate_groups --------------------------------------------------------------

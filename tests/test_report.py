@@ -1,7 +1,10 @@
 """Table rendering and chart emission."""
 
 import json
+import random
 import re
+
+import pytest
 
 from classaudit.classify import GroupKind
 from classaudit.pipeline import GroupSummary, aggregate_groups
@@ -85,17 +88,105 @@ def test_marking_compares_rendered_values():
     assert cohesion.count("*1.000") == 2  # indistinguishable at 3 decimals: both marked
 
 
-def test_csv_json_text_carry_identical_numbers():
-    rows = three_groups()
+# Each table's text title and its (text header, CSV/JSON key) columns.
+LAYOUT = {
+    "size": ("Group sizes", [("Classes", "classes"), ("LoC", "loc"), ("L/C", "l_per_c")]),
+    "cohesion": ("Cohesion", [("LCOM5", "lcom5"), ("NHD", "nhd")]),
+    "complexity": ("Complexity", [("CC", "cc"), ("CoCo", "coco"), ("ACoCo", "acoco"),
+                                  ("MxCoCo", "mxcoco"), ("MnCoCo", "mncoco")]),
+}
+# Where the text marks a column's cells: at its highest or lowest value.
+WORST = {"lcom5": max, "nhd": min, "cc": max, "coco": max, "acoco": max,
+         "mxcoco": max, "mncoco": max}
+MEAN_FIELDS = ("lcom5_mean", "nhd_mean", "cc_mean", "coco_mean", "acoco_mean",
+               "mxcoco_mean", "mncoco_mean")
+
+
+def random_groups(seed):
+    """Three summaries drawn to hit undefined means, zero-class groups,
+    integer-valued means, means that tie once rendered to 3 decimals and
+    cells of different widths."""
+    rng = random.Random(seed)
+    pool = [None, 0.0, 1.0, 1.0004, 0.9996, 2.0, 2.0000001, 0.25, 0.2504, 12.5, 1234.5]
+    rows = []
+    for label in (GroupKind.EROR, GroupKind.UTILS, GroupKind.REST):
+        count = rng.choice([0, 1, 1, 2, 3, 7])
+        if count == 0:
+            rows.append(GroupSummary(label, 0, 0, None, *[None] * len(MEAN_FIELDS)))
+            continue
+        loc = rng.randint(count, 40 * count)
+        means = [rng.choice(pool) if rng.random() < 0.7 else rng.uniform(0, 30)
+                 for _ in MEAN_FIELDS]
+        rows.append(GroupSummary(label, count, loc, loc / count, *means))
+    return rows
+
+
+def text_cells(text):
+    """{(table, group, key): cell} from the text tables, marks kept."""
+    cells = {}
+    blocks = text.split("\n\n")
+    for key, (title, columns) in LAYOUT.items():
+        block = next(b for b in blocks if b.startswith(title + "\n")).splitlines()
+        assert block[1].split() == ["Group"] + [h for h, _ in columns]
+        for line in block[2:]:
+            group, *values = line.split()
+            assert len(values) == len(columns)
+            for (_, column), value in zip(columns, values):
+                cells[(key, group, column)] = value
+    return cells
+
+
+def assert_formats_agree(rows):
+    """Text, CSV and JSON show the same value in every cell, and the text
+    stars exactly each marked column's worst rendered values."""
+    visible = [s for s in rows if s.class_count > 0]
     text = render_tables(rows, format="text")
-    csv_out = render_tables(rows, format="csv")
+    styled = render_tables(rows, format="text", style=True)
+    assert re.sub("\x1b\\[[04]m", "", styled) == text
+    marked = text_cells(text)
+    shown = {k: v.lstrip("*") for k, v in marked.items()}
+
+    csv_lines = render_tables(rows, format="csv").splitlines()
+    assert csv_lines[0] == "table,group,column,value"
+    csv_cells = {}
+    for line in csv_lines[1:]:
+        table, group, column, value = line.split(",")
+        csv_cells[(table, group, column)] = value
+    assert csv_cells == shown
+
     doc = json.loads(render_tables(rows, format="json"))
-    text_numbers = set(re.findall(r"\d+\.\d{3}", text))
-    csv_numbers = set(re.findall(r"\d+\.\d{3}", csv_out))
-    assert text_numbers == csv_numbers
-    for row in doc["cohesion"]:
-        assert fmt3(row["lcom5"]) in text_numbers
-        assert fmt3(row["nhd"]) in text_numbers
+    assert list(doc) == list(LAYOUT)
+    json_cells = {}
+    for key, (_, columns) in LAYOUT.items():
+        assert [r["group"] for r in doc[key]] == [s.label.value for s in visible]
+        for row in doc[key]:
+            assert list(row) == ["group"] + [c for _, c in columns]
+            for _, column in columns:
+                value = row[column]
+                if column in ("classes", "loc"):
+                    assert type(value) is int
+                    json_cells[(key, row["group"], column)] = str(value)
+                else:
+                    json_cells[(key, row["group"], column)] = fmt3(value)
+    assert json_cells == shown
+
+    for (key, group, column), cell in marked.items():
+        if column not in WORST:
+            assert not cell.startswith("*")
+            continue
+        defined = [float(shown[(key, s.label.value, column)]) for s in visible
+                   if shown[(key, s.label.value, column)] != "-"]
+        worst = cell != "-" and float(shown[(key, group, column)]) == WORST[column](defined)
+        assert cell.startswith("*") == worst, (key, group, column)
+
+
+def test_csv_json_text_carry_identical_numbers():
+    assert_formats_agree(three_groups())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_csv_json_text_carry_identical_numbers_on_random_groups(seed):
+    assert_formats_agree(random_groups(seed))
 
 
 def test_text_unstyled_by_default():
