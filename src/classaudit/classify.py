@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ._record import FrozenRecord
+from .errors import ConfigError
 
 DEFAULT_UTILS_SUFFIXES: Tuple[str, ...] = ("Utils", "Util", "Utilities", "Utility")
 
@@ -112,24 +113,33 @@ def load_rules(path: Union[str, os.PathLike]) -> SuffixRules:
     """Rules file: one suffix per line under `[utils]` / `[exclude]` headers.
 
     Blank lines and `#` comments are ignored. A missing section keeps the
-    default list for that section.
+    default list for that section. An unknown `[...]` header, a suffix
+    before the first header, a repeated exclusion suffix and a file that is
+    not UTF-8 raise ConfigError, the first three at `path:line`.
     """
     utils: List[str] = []
     exclude: List[str] = []
+    sections = {"[utils]": utils, "[exclude]": exclude}
     current: Optional[List[str]] = None
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    for raw in text.splitlines():
+        try:
+            lines = fh.read().split("\n")  # file lines, as an editor counts them
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower() == "[utils]":
-            current = utils
-            continue
-        if line.lower() == "[exclude]":
-            current = exclude
-            continue
-        if current is not None:
+        if line.startswith("["):
+            current = sections.get(line.lower())
+            if current is None:
+                raise ConfigError(f"{path}:{lineno}: unknown section {line}, "
+                                  f"expected [utils] or [exclude]")
+        elif current is None:
+            raise ConfigError(f"{path}:{lineno}: suffix {line!r} before any section header")
+        elif current is exclude and line in exclude:
+            raise ConfigError(f"{path}:{lineno}: repeated exclusion suffix {line!r}")
+        else:
             current.append(line)
     return SuffixRules(
         utils_suffixes=tuple(utils) if utils else DEFAULT_UTILS_SUFFIXES,

@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, TextIO
+from typing import Dict, List, Optional, TextIO
 
 from ._record import Record
 from .classify import EXCLUDED_TO_DROP, EXCLUDED_TO_REST, SuffixRules, load_rules
@@ -79,12 +79,7 @@ def run(config: RunConfig, out: TextIO = None, err: TextIO = None) -> int:
                 ingest_sources(config.inputs, rules, config.excluded_to, diag)
             )
         else:
-            column_map = dict(DEFAULT_CAM_COLUMN_MAP)
-            if config.cam_map_path:
-                import json  # only a --cam-map run reads JSON
-
-                with open(config.cam_map_path, "r", encoding="utf-8") as fh:
-                    column_map.update(json.load(fh))
+            column_map = _cam_column_map(config.cam_map_path)
             records = []
             for path in config.inputs:
                 records.extend(
@@ -122,6 +117,26 @@ def run(config: RunConfig, out: TextIO = None, err: TextIO = None) -> int:
     except (AuditError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
+
+
+def _cam_column_map(path: Optional[str]) -> Dict[str, str]:
+    """The default CAM column map, updated from the `--cam-map` file at
+    ``path`` if given. The file must be UTF-8 JSON holding one object whose
+    values are column names; anything else raises ConfigError."""
+    column_map = dict(DEFAULT_CAM_COLUMN_MAP)
+    if path:
+        import json  # only a --cam-map run reads JSON
+
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError(f"{path}: {exc}") from None
+        if not (isinstance(overrides, dict)
+                and all(isinstance(v, str) for v in overrides.values())):
+            raise ConfigError(f"{path}: --cam-map must be a JSON object of column names")
+        column_map.update(overrides)
+    return column_map
 
 
 class _ArgumentParser(argparse.ArgumentParser):

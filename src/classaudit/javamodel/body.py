@@ -14,8 +14,14 @@ attribute access when it matches a declared attribute, is not qualified by
 ``.``/``::``/``new``, is not a call (`name(` is an invocation, fields and
 methods live in separate namespaces), and is not shadowed by a parameter or
 a local declared earlier in an enclosing scope. ``this.name`` always counts,
-shadowed or not. Scoping is block-granular, no flow analysis. In an arrow-form
-``case`` label, ``A ->`` ends the label: it is never a lambda. A type or
+shadowed or not. Scoping is block-granular, no flow analysis: every ``{…}``
+block of statements opens a scope at its ``{`` and closes it at its ``}``,
+so a local ends there. That holds for ``try``, ``catch`` and ``finally``
+blocks too, which scope even though ``try`` and ``finally`` do not nest; a
+catch parameter and a lambda's parameters are in the scope of the block they
+head. A ``for`` header, ``try`` resources and a ``switch`` block scope their
+own declarations the same way. In an arrow-form ``case`` label, ``A ->``
+ends the label: it is never a lambda. A type or
 record pattern binds like a local after ``instanceof``, and for its own arm
 only in a ``case`` label; a record pattern binds each component's last
 identifier, or a nested record pattern's bindings.
@@ -132,15 +138,6 @@ class _BodyWalker:
 
     # ---- scopes ----------------------------------------------------------
 
-    def push_scope(self, names=()):
-        self.scopes.append(set(names))
-
-    def pop_scope(self):
-        self.scopes.pop()
-
-    def declare(self, name: str):
-        self.scopes[-1].add(name)
-
     def is_shadowed(self, name: str) -> bool:
         for scope in self.scopes:
             if name in scope:
@@ -159,24 +156,22 @@ class _BodyWalker:
 
     # ---- statements -------------------------------------------------------
 
-    def parse_block(self, depth: int):
-        """Statements until the matching '}' (opening brace already eaten)."""
+    def block(self, depth: int, names=()) -> bool:
+        """At '{': eat it, parse statements up to the matching '}' in a new
+        scope that holds ``names``, close that scope and return True.
+        At any other token return False and eat nothing."""
         texts, end = self.texts, self.end
+        if texts[self.i] != "{":
+            return False
+        self.i += 1
+        self.scopes.append(set(names))
         while self.i < end:
             if texts[self.i] == "}":
                 self.i += 1
-                return
+                break
             self.parse_statement(depth)
-
-    def embedded(self, depth: int):
-        """Body of a control construct: block or single statement."""
-        if self.texts[self.i] == "{":
-            self.i += 1
-            self.push_scope()
-            self.parse_block(depth)
-            self.pop_scope()
-        else:
-            self.parse_statement(depth)
+        self.scopes.pop()
+        return True
 
     def parse_statement(self, depth: int):
         texts, kinds = self.texts, self.kinds
@@ -186,10 +181,7 @@ class _BodyWalker:
             self.i = i + 1
             return
         if t == "{":
-            self.i = i + 1
-            self.push_scope()
-            self.parse_block(depth)  # plain block, no nesting increment
-            self.pop_scope()
+            self.block(depth)  # plain block, no nesting increment
             return
         if t == "if":
             self.parse_if(depth)
@@ -201,12 +193,12 @@ class _BodyWalker:
             self.i = i + 1
             self.events.append((EVENT_LOOP, depth))
             self.parse_paren_expr(depth)
-            self.embedded(depth + 1)
+            self.parse_statement(depth + 1)
             return
         if t == "do":
             self.i = i + 1
             self.events.append((EVENT_LOOP, depth))
-            self.embedded(depth + 1)
+            self.parse_statement(depth + 1)
             if self.eat_if("while"):  # tail condition, not a second loop
                 self.parse_paren_expr(depth)
             self.eat_if(";")
@@ -220,10 +212,7 @@ class _BodyWalker:
         if t == "synchronized":
             self.i = i + 1
             self.parse_paren_expr(depth)
-            if self.eat_if("{"):
-                self.push_scope()
-                self.parse_block(depth)
-                self.pop_scope()
+            self.block(depth)
             return
         if t in ("return", "throw"):
             self.i = i + 1
@@ -267,23 +256,23 @@ class _BodyWalker:
         while self.eat_if("if"):
             self.events.append((kind, depth))
             self.parse_paren_expr(depth)
-            self.embedded(depth + 1)
+            self.parse_statement(depth + 1)
             if not self.eat_if("else"):
                 return
             kind = EVENT_ELSE_IF
         self.events.append((EVENT_ELSE, depth))
-        self.embedded(depth + 1)
+        self.parse_statement(depth + 1)
 
     def parse_for(self, depth: int):
         texts = self.texts
         self.i += 1  # 'for'
         self.events.append((EVENT_LOOP, depth))
         if texts[self.i] != "(":
-            self.embedded(depth + 1)
+            self.parse_statement(depth + 1)
             return
         classic = self._for_control_has_semicolon()
         self.i += 1  # '('
-        self.push_scope()
+        self.scopes.append(set())
         if classic:
             if not self.eat_if(";"):
                 if not self.try_parse_declaration(depth, terminators=(";",)):
@@ -300,8 +289,8 @@ class _BodyWalker:
                 self.eat_if(":")
             self.parse_expr(_RPAREN, depth)
             self.eat_if(")")
-        self.embedded(depth + 1)
-        self.pop_scope()
+        self.parse_statement(depth + 1)
+        self.scopes.pop()
 
     def parse_switch(self, depth: int):
         texts, end = self.texts, self.end
@@ -312,7 +301,7 @@ class _BodyWalker:
             return
         bound: Set[str] = set()  # the current arm's pattern bindings
         self.scopes.append(bound)
-        self.push_scope()  # locals, which reach every later arm
+        self.scopes.append(set())  # locals, which reach every later arm
         while self.i < end:
             t = texts[self.i]
             if t == "}":
@@ -330,16 +319,11 @@ class _BodyWalker:
                 self.i += 1
             elif t == "->":
                 self.i += 1
-                if self.eat_if("{"):
-                    self.push_scope()
-                    self.parse_block(depth + 1)
-                    self.pop_scope()
-                else:
-                    self.parse_statement(depth + 1)
+                self.parse_statement(depth + 1)
             else:
                 self.parse_statement(depth + 1)
-        self.pop_scope()
-        self.pop_scope()
+        self.scopes.pop()
+        self.scopes.pop()
 
     def _parse_case_label(self, bound: Set[str], depth: int):
         """A case label, up to its ':' or '->'. Its type and record patterns
@@ -372,7 +356,7 @@ class _BodyWalker:
         self.i += 1  # 'try'
         has_resources = self.eat_if("(")
         if has_resources:
-            self.push_scope()
+            self.scopes.append(set())
             while self.i < end and texts[self.i] != ")":
                 before = self.i
                 if not self.try_parse_declaration(depth, terminators=(";", ")")):
@@ -381,30 +365,23 @@ class _BodyWalker:
                 if self.i == before:
                     break  # a '}' ends the resource list unclosed
             self.eat_if(")")
-        if self.eat_if("{"):
-            self.parse_block(depth)  # try body does not nest
+        self.block(depth)  # try body does not nest
         if has_resources:
-            self.pop_scope()
+            self.scopes.pop()
         while self.eat_if("catch"):
             self.events.append((EVENT_CATCH, depth))
-            self.push_scope()
+            names = ()
             if self.eat_if("("):
-                last_ident = None
                 i = self.i
                 while i < end and texts[i] != ")":
                     if kinds[i] == IDENT:
-                        last_ident = texts[i]
+                        names = (texts[i],)
                     i += 1
                 self.i = i
                 self.eat_if(")")
-                if last_ident:
-                    self.declare(last_ident)
-            if self.eat_if("{"):
-                self.parse_block(depth + 1)
-            self.pop_scope()
+            self.block(depth + 1, names)
         if self.eat_if("finally"):
-            if self.eat_if("{"):
-                self.parse_block(depth)
+            self.block(depth)
 
     def parse_local_type(self, depth: int):
         """Local class/interface/enum/record: body is a nested region."""
@@ -415,10 +392,7 @@ class _BodyWalker:
                 self.i = close + 1 if close >= 0 else end
                 continue
             self.i += 1
-        if self.eat_if("{"):
-            self.push_scope()
-            self.parse_block(depth + 1)
-            self.pop_scope()
+        self.block(depth + 1)
 
     # ---- expressions ------------------------------------------------------
 
@@ -466,14 +440,11 @@ class _BodyWalker:
                 self.parse_expr(_RBRACKET, depth)
                 self.eat_if("]")
             elif t == "{":
-                self.i = i + 1
                 if self.prev(i) == ")":
-                    # anonymous class body after `new T(...)`
-                    self.push_scope()
-                    self.parse_block(depth + 1)
-                    self.pop_scope()
+                    self.block(depth + 1)  # anonymous class body after `new T(...)`
                 else:
                     # array initializer or similar brace region
+                    self.i = i + 1
                     self.parse_expr(_RBRACE, depth)
                     if self.i < end and texts[self.i] == "}":
                         self.i += 1
@@ -519,9 +490,7 @@ class _BodyWalker:
         if nxt == "->" and "->" not in stop:
             # single-parameter lambda; in a case label '->' ends the label
             self.i = i + 2
-            self.push_scope((name,))
-            self._lambda_body(depth, stop)
-            self.pop_scope()
+            self._lambda_body(depth, stop, (name,))
             return
         self.i = i + 1
         if name not in _VALUE_KEYWORDS and (
@@ -533,11 +502,11 @@ class _BodyWalker:
             elif name in self.attrs and not self.is_shadowed(name):
                 self.accessed.add(name)
 
-    def _lambda_body(self, depth: int, stop: Set[str]):
-        if self.eat_if("{"):
-            self.parse_block(depth + 1)
-        else:
+    def _lambda_body(self, depth: int, stop: Set[str], params):
+        if not self.block(depth + 1, params):
+            self.scopes.append(set(params))
             self.parse_expr(stop | {","}, depth + 1)
+            self.scopes.pop()
 
     def _try_lambda_params(self, depth: int, stop: Set[str]) -> bool:
         """At '(': if the parenthesized group is a lambda parameter list,
@@ -552,9 +521,7 @@ class _BodyWalker:
             if idents:
                 params.append(self.texts[idents[-1]])
         self.i = close + 2  # past ')' and '->'
-        self.push_scope(params)
-        self._lambda_body(depth, stop)
-        self.pop_scope()
+        self._lambda_body(depth, stop, params)
         return True
 
     def _is_wildcard(self, i: int) -> bool:
@@ -572,7 +539,7 @@ class _BodyWalker:
             self._bind_components(i, self.scopes[-1])
             self.i = self.match[i] + 1
         elif self.kinds[i] == IDENT:  # pattern variable
-            self.declare(texts[i])
+            self.scopes[-1].add(texts[i])
             self.i = i + 1
 
     def _bind_components(self, open_: int, scope: Set[str]):
@@ -617,7 +584,7 @@ class _BodyWalker:
                     while texts[i] == "[" and texts[i + 1] == "]":
                         i += 2
                     self.i = i
-                    self.declare(name)
+                    self.scopes[-1].add(name)
                     self._declarator_rest(depth, terminators)
                     return True
         self.i = save_i
@@ -634,7 +601,7 @@ class _BodyWalker:
                 i += 1
                 self.i = i
                 if kinds[i] == IDENT:
-                    self.declare(texts[i])
+                    self.scopes[-1].add(texts[i])
                     i += 1
                     while texts[i] == "[" and texts[i + 1] == "]":
                         i += 2

@@ -39,8 +39,8 @@ class ClassMetrics(Record):
     __slots__ = ("lcom5", "nhd", "cc_total", "coco_total", "coco_avg", "coco_min",
                  "coco_max", "k", "l_attr", "l_types")
 
-    def __init__(self, lcom5: Optional[float], nhd: Optional[float], cc_total: int,
-                 coco_total: int, coco_avg: Optional[float], coco_min: Optional[int],
+    def __init__(self, lcom5: Optional[float], nhd: Optional[float], cc_total: Optional[int],
+                 coco_total: Optional[int], coco_avg: Optional[float], coco_min: Optional[int],
                  coco_max: Optional[int], k: int, l_attr: int, l_types: int):
         self.lcom5 = lcom5
         self.nhd = nhd
@@ -57,6 +57,8 @@ class ClassMetrics(Record):
         return (
             self.lcom5 is None
             or self.nhd is None
+            or self.cc_total is None
+            or self.coco_total is None
             or self.coco_avg is None
             or self.coco_min is None
             or self.coco_max is None

@@ -21,20 +21,16 @@ from .metrics import ClassMetrics, class_metrics
 
 
 class ClassRecord(Record):
-    __slots__ = ("qualified_name", "origin", "metrics", "loc", "blank_lines", "label",
-                 "metrics_complete")
+    __slots__ = ("qualified_name", "origin", "metrics", "loc", "blank_lines", "label")
 
     def __init__(self, qualified_name: str, origin: str, metrics: ClassMetrics, loc: int,
-                 blank_lines: int, label: GroupLabel, metrics_complete: bool = True):
+                 blank_lines: int, label: GroupLabel):
         self.qualified_name = qualified_name
         self.origin = origin
         self.metrics = metrics
         self.loc = loc
         self.blank_lines = blank_lines
         self.label = label
-        # False when an ingested row lacked an always-int metric cell (CC/CoCo
-        # totals have no None slot in ClassMetrics, so absence is flagged here).
-        self.metrics_complete = metrics_complete
 
     @property
     def ncloc(self) -> int:
@@ -174,7 +170,6 @@ CAM_REQUIRED_KEYS = (
     "name", "lcom5", "nhd", "cc", "coco", "acoco", "mxcoco", "mncoco",
     "loc", "blank",
 )
-CAM_OPTIONAL_KEYS = ("static",)
 
 DEFAULT_CAM_COLUMN_MAP: Dict[str, str] = {
     "name": "class_name",
@@ -295,8 +290,8 @@ def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to)
     metrics = ClassMetrics(
         lcom5=lcom5_v,
         nhd=nhd_v,
-        cc_total=cc_v or 0,
-        coco_total=coco_v or 0,
+        cc_total=cc_v,
+        coco_total=coco_v,
         coco_avg=acoco_v,
         coco_min=mncoco_v,
         coco_max=mxcoco_v,
@@ -312,7 +307,6 @@ def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to)
         loc=loc,
         blank_lines=blank,
         label=label,
-        metrics_complete=(cc_v is not None and coco_v is not None),
     )
 
 
@@ -391,10 +385,6 @@ class FilterOutcome(Record):
         return len(self.kept)
 
 
-def _metrics_defined(record: ClassRecord) -> bool:
-    return record.metrics_complete and not record.metrics.has_undefined()
-
-
 def filter_records(
     records: Iterable[ClassRecord],
     q_low: Union[float, Fraction] = Fraction(1, 100),
@@ -402,7 +392,7 @@ def filter_records(
 ) -> FilterOutcome:
     """Apply the three drops in order; thresholds are computed once."""
     materialized = list(records)
-    with_metrics = [r for r in materialized if _metrics_defined(r)]
+    with_metrics = [r for r in materialized if not r.metrics.has_undefined()]
     dropped_by_metric = len(materialized) - len(with_metrics)
     if with_metrics:
         population = sorted(r.ncloc for r in with_metrics)

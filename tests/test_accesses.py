@@ -1,5 +1,7 @@
 """Attribute-access resolution: shadowing, qualification, call targets."""
 
+import pytest
+
 from classaudit.javamodel import analyze_body, parse_compilation_unit, tokenize
 from classaudit.metrics import class_metrics
 
@@ -82,6 +84,14 @@ def test_catch_parameter_shadows():
 
 def test_try_resource_shadows():
     assert accesses("try (Stream s = open()) { s.read(); }", {"s"}) == set()
+
+
+@pytest.mark.parametrize("body", [
+    "try { int x = 1; } finally { } x++;",
+    "try { } finally { int x = 1; } x++;",
+], ids=["try", "finally"])
+def test_try_and_finally_locals_end_at_their_brace(body):
+    assert accesses(body, {"x"}) == {"x"}
 
 
 def test_identifier_case_label_counts_in_arrow_and_colon_form():

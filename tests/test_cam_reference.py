@@ -81,7 +81,7 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     if static_col is not None:
         has_static = _truthy(row.get(static_col) or "")  # the one fix
     metrics = ClassMetrics(
-        lcom5=lcom5_v, nhd=nhd_v, cc_total=cc_v or 0, coco_total=coco_v or 0,
+        lcom5=lcom5_v, nhd=nhd_v, cc_total=cc_v, coco_total=coco_v,
         coco_avg=acoco_v, coco_min=mncoco_v, coco_max=mxcoco_v,
         k=0, l_attr=0, l_types=0,
     )
@@ -92,7 +92,6 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
         loc=loc,
         blank_lines=blank,
         label=classify(simple, has_static, rules, excluded_to),
-        metrics_complete=(cc_v is not None and coco_v is not None),
     )
 
 

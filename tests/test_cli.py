@@ -92,6 +92,39 @@ def test_rules_file_flag(tmp_path, corpus_dir):
     assert rest["classes"] == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[utils]\nHelper\n[eror]\nFoo\n",
+     ":3: unknown section [eror], expected [utils] or [exclude]"),
+    (b"[utils]\r\nHelper\fKit\r\n[eror]\r\n",
+     ":3: unknown section [eror], expected [utils] or [exclude]"),
+    (b"# comment\nHelper\n[utils]\nKit\n", ":2: suffix 'Helper' before any section header"),
+    (b"[exclude]\nLogger\n\nLogger\n", ":4: repeated exclusion suffix 'Logger'"),
+    (b"[utils]\n\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+], ids=["unknown_header", "crlf_and_form_feed", "suffix_before_header", "repeated_exclusion",
+         "not_utf8"])
+def test_rules_file_mistake_is_an_error_line(tmp_path, corpus_dir, capsys, content, message):
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(content)
+    assert main(["--mode=source", f"--input={corpus_dir}", f"--rules={rules}"]) == 1
+    assert capsys.readouterr() == ("", f"error: {rules}{message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"cc": ', "Expecting value: line 1 column 8 (char 7)"),
+    (b'["cc", "cyclo"]', "--cam-map must be a JSON object of column names"),
+    (b'{"cc": ["a"]}', "--cam-map must be a JSON object of column names"),
+    (b'{"cc": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+], ids=["not_json", "a_list", "a_list_value", "not_utf8"])
+def test_bad_cam_map_is_an_error_line(tmp_path, capsys, content, message):
+    csv_path = tmp_path / "cam.csv"
+    csv_path.write_text("class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
+                        "p.CManager,0.5,0.7,3,4,2.0,3,1,100,10\n")
+    cam_map = tmp_path / "map.json"
+    cam_map.write_bytes(content)
+    assert main(["--mode=cam", f"--input={csv_path}", f"--cam-map={cam_map}"]) == 1
+    assert capsys.readouterr() == ("", f"error: {cam_map}: {message}\n")
+
+
 def test_cam_mode_roundtrip(tmp_path):
     csv_path = tmp_path / "cam.csv"
     csv_path.write_text(

@@ -100,8 +100,7 @@ def test_undefined_metric_dropped_regardless_of_ncloc():
 
 
 def test_incomplete_csv_metrics_dropped():
-    r = record(name="I", ncloc=50)
-    r.metrics_complete = False
+    r = record(name="I", ncloc=50, cc=None)
     outcome = filter_records([r] + [record(name=f"C{i}", ncloc=50) for i in range(3)])
     assert outcome.dropped_by_metric == 1
 
@@ -168,7 +167,7 @@ def test_filter_idempotent_with_frozen_thresholds():
     assert once.kept and once.dropped_by_metric and once.dropped_by_quantile
     assert once.dropped_by_label
     for r in once.kept:
-        assert r.metrics_complete and not r.metrics.has_undefined()
+        assert not r.metrics.has_undefined()
         assert r.label.kind is not GroupKind.DROPPED
         assert once.q_low_value <= r.ncloc <= once.q_high_value
 
@@ -260,6 +259,34 @@ def test_ingest_isolates_malformed_files(tmp_path):
     assert [r.qualified_name for r in records] == ["Good"]
     assert diag.skipped == 1
     assert any(line.startswith("SKIP") and "Bad.java" in line for line in diag.lines)
+
+
+def test_deep_nests_parse_at_the_default_recursion_limit():
+    # Each nest is the deepest that parses at the default limit (about 246
+    # ifs, 988 parens and 164 lambdas on 3.10 to 3.13) less a margin, so a
+    # walker change that spends one more stack frame per level fails here.
+    bodies = [
+        "if (v > 0) { " * 240 + "x = v;" + " }" * 240,
+        "x = " + "(" * 950 + "v" + ")" * 950 + ";",
+        "f(y -> { " * 160 + "x = v;" + " });" * 160,
+    ]
+    script = (
+        "import sys\n"
+        "from classaudit.javamodel import parse_compilation_unit\n"
+        "from classaudit.metrics import class_metrics\n"
+        "for body in sys.argv[1:]:\n"
+        "    (cls,) = parse_compilation_unit('class A { int x; void m(int v) { ' + body + ' } }')\n"
+        "    print(class_metrics(cls).cc_total, sorted(cls.methods[0].accessed_attributes))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *bodies],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["241 ['x']", "1 ['x']", "1 ['x']"]
 
 
 @pytest.mark.parametrize("body", [
@@ -384,7 +411,8 @@ def test_cam_csv_empty_metric_cell_is_undefined(tmp_path):
 def test_cam_csv_missing_cc_marks_incomplete(tmp_path):
     path = write_csv(tmp_path, ["a.B,0.5,0.7,,4,2.0,3,1,100,10,false\n"])
     records = list(ingest_cam_csv(path, CSV_MAP))
-    assert not records[0].metrics_complete
+    assert records[0].metrics.cc_total is None
+    assert records[0].metrics.has_undefined()
     assert filter_records(records).dropped_by_metric == 1
 
 
@@ -500,8 +528,8 @@ def test_cam_csv_short_long_rows_and_repeated_header(tmp_path):
         "a.C,0.5,0.7,1,4,2.0,3,1,100,10,yes,8,extra\n",   # long: extra cell ignored
     ], header=header)
     records = list(ingest_cam_csv(path, CSV_MAP))
-    assert [(r.label.kind, r.metrics.cc_total, r.metrics_complete) for r in records] == [
-        (GroupKind.REST, 0, False), (GroupKind.DROPPED, 8, True)]
+    assert [(r.label.kind, r.metrics.cc_total) for r in records] == [
+        (GroupKind.REST, None), (GroupKind.DROPPED, 8)]
 
 
 def test_cam_csv_without_static_column_warns(tmp_path):
