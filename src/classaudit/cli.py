@@ -14,6 +14,7 @@ from ._record import Record
 from .classify import EXCLUDED_TO_DROP, EXCLUDED_TO_REST, SuffixRules, load_rules
 from .errors import AuditError, ConfigError
 from .pipeline import (
+    CAM_REQUIRED_KEYS,
     DEFAULT_CAM_COLUMN_MAP,
     Diagnostics,
     aggregate_groups,
@@ -121,8 +122,9 @@ def run(config: RunConfig, out: TextIO = None, err: TextIO = None) -> int:
 
 def _cam_column_map(path: Optional[str]) -> Dict[str, str]:
     """The default CAM column map, updated from the `--cam-map` file at
-    ``path`` if given. The file must be UTF-8 JSON holding one object whose
-    values are column names; anything else raises ConfigError."""
+    ``path`` if given. The file must be UTF-8 JSON holding one object that
+    maps keys of CAM_REQUIRED_KEYS or `static` to column names; anything
+    else raises ConfigError."""
     column_map = dict(DEFAULT_CAM_COLUMN_MAP)
     if path:
         import json  # only a --cam-map run reads JSON
@@ -135,6 +137,10 @@ def _cam_column_map(path: Optional[str]) -> Dict[str, str]:
         if not (isinstance(overrides, dict)
                 and all(isinstance(v, str) for v in overrides.values())):
             raise ConfigError(f"{path}: --cam-map must be a JSON object of column names")
+        for key in overrides:
+            if key not in CAM_REQUIRED_KEYS and key != "static":
+                raise ConfigError(f"{path}: unknown --cam-map key {key!r}; the keys are "
+                                  f"{', '.join(CAM_REQUIRED_KEYS)} and static")
         column_map.update(overrides)
     return column_map
 

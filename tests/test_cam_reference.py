@@ -2,9 +2,11 @@
 
 The reference reads rows the way CAM ingest did before it moved to
 csv.reader with the header resolved once: one dict per row, each cell
-fetched by column name and stripped before float(). It has one fix: a short
-row's missing static cell reads as empty, where the DictReader version
-called strip() on None and raised AttributeError out of the run. On CSVs
+fetched by column name and stripped before float(). It has two fixes: a
+short row's missing static cell reads as empty, where the DictReader version
+called strip() on None and raised AttributeError out of the run; and a name
+whose simple name is empty (`org.p.`, `Outer$`) is a SKIP, where classify()
+raised ValueError out of the run. On CSVs
 without blank rows or multi-line cells, where the reference's record count
 plus one is the file line, both must give the same records, the same
 SKIP lines and tallies, or the same exception.
@@ -68,6 +70,8 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     if not name:
         raise RowParseError("empty class name")
     simple = name.rsplit(".", 1)[-1].rsplit("$", 1)[-1]
+    if not simple:  # the second fix
+        raise RowParseError(f"empty simple name in class name {name!r}")
     loc = _cell_count(row, column_map["loc"], required=True)
     blank = _cell_count(row, column_map["blank"], required=True)
     lcom5_v = _cell_float(row, column_map["lcom5"])
@@ -79,7 +83,7 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     mncoco_v = _cell_count(row, column_map["mncoco"])
     has_static = False
     if static_col is not None:
-        has_static = _truthy(row.get(static_col) or "")  # the one fix
+        has_static = _truthy(row.get(static_col) or "")  # the first fix
     metrics = ClassMetrics(
         lcom5=lcom5_v, nhd=nhd_v, cc_total=cc_v, coco_total=coco_v,
         coco_avg=acoco_v, coco_min=mncoco_v, coco_max=mxcoco_v,
@@ -155,6 +159,7 @@ ODD_CELLS = [
     "-inf", "1e400", "junk", " x ", "1_000", "\x1c3", "\x1c", "\t7\t",
     "1", "true", "yes", " Y ", "no", "false",
     "a.b.Manager", "com.x.StringUtils", "Outer$Inner", "p.Widget", "Logger",
+    "org.p.", "Outer$", " a.b$ ",
 ]
 # Mostly whole numbers, which every column takes, so that many rows ingest.
 CELLS = st.sampled_from(["1", "2", "3", "40", "7.0"] * 30 + ODD_CELLS)

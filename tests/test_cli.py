@@ -114,7 +114,9 @@ def test_rules_file_mistake_is_an_error_line(tmp_path, corpus_dir, capsys, conte
     (b'["cc", "cyclo"]', "--cam-map must be a JSON object of column names"),
     (b'{"cc": ["a"]}', "--cam-map must be a JSON object of column names"),
     (b'{"cc": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
-], ids=["not_json", "a_list", "a_list_value", "not_utf8"])
+    (b'{"statik": "static"}', "unknown --cam-map key 'statik'; the keys are name, lcom5, nhd, "
+                              "cc, coco, acoco, mxcoco, mncoco, loc, blank and static"),
+], ids=["not_json", "a_list", "a_list_value", "not_utf8", "misspelt_key"])
 def test_bad_cam_map_is_an_error_line(tmp_path, capsys, content, message):
     csv_path = tmp_path / "cam.csv"
     csv_path.write_text("class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
@@ -123,6 +125,16 @@ def test_bad_cam_map_is_an_error_line(tmp_path, capsys, content, message):
     cam_map.write_bytes(content)
     assert main(["--mode=cam", f"--input={csv_path}", f"--cam-map={cam_map}"]) == 1
     assert capsys.readouterr() == ("", f"error: {cam_map}: {message}\n")
+
+
+def test_cam_row_with_empty_simple_name_is_a_skip_line(tmp_path, capsys):
+    csv_path = tmp_path / "cam.csv"
+    csv_path.write_text("class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
+                        + "".join(f"p.C{i}Manager,0.5,0.7,3,4,2.0,3,1,100,10\n" for i in range(10))
+                        + "org.p.,0.5,0.7,3,4,2.0,3,1,100,10\n")
+    assert main(["--mode=cam", f"--input={csv_path}"]) == 0
+    err = capsys.readouterr().err
+    assert f"SKIP {csv_path}:12 empty simple name in class name 'org.p.'\n" in err
 
 
 def test_cam_mode_roundtrip(tmp_path):
