@@ -61,7 +61,6 @@ from .model import (
 )
 from .tokens import IDENT, PRIMITIVE_TYPES, Tokens
 
-_DECL_HEAD_SKIP = frozenset({"final"})
 # Identifier may not be an access when directly preceded by one of these.
 _QUALIFIER_PREV = frozenset({".", "::", "new", "@", "instanceof"})
 _VALUE_KEYWORDS = frozenset({"null", "true", "false"})
@@ -329,23 +328,10 @@ class _BodyWalker:
         """A case label, up to its ':' or '->'. Its type and record patterns
         bind into ``bound``; constants, and a ``when`` guard with the
         bindings in scope, are parsed as an expression."""
-        texts, kinds = self.texts, self.kinds
         while True:
-            save = self.i
-            self.eat_if("final")
-            if not self._scan_type():
-                self.i = save
-                break
-            i = self.i
-            if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
-                self._bind_components(i, bound)
-                self.i = self.match[i] + 1
-            elif kinds[i] == IDENT:  # type pattern
-                bound.add(texts[i])
-                self.i = i + 1
-            else:  # a constant such as `RED` or `Color.RED`
-                self.i = save
-                break
+            i = self.toks.read_type(self.i, self.end)
+            if i < 0 or not self._bind_pattern(i, bound):
+                break  # a constant such as `RED` or `Color.RED`
             if not self.eat_if(","):
                 self.eat_if("when")
                 break
@@ -529,18 +515,25 @@ class _BodyWalker:
         return self.prev(i) in ("<", ",") and self.texts[i + 1] in ("extends", "super", ">", ",")
 
     def _parse_instanceof(self):
-        texts = self.texts
         self.i += 1  # 'instanceof'
-        self.eat_if("final")
-        if not self._scan_type():
-            return
-        i = self.i
+        i = self.toks.read_type(self.i, self.end)
+        if i >= 0 and not self._bind_pattern(i, self.scopes[-1]):
+            self.i = i  # a type alone
+
+    def _bind_pattern(self, i: int, scope: Set[str]) -> bool:
+        """After a pattern's type, which ends before i: bind the names of a
+        type or record pattern into ``scope``, move past it and return
+        True; return False, and move nothing, if no pattern follows."""
+        texts = self.texts
         if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
-            self._bind_components(i, self.scopes[-1])
+            self._bind_components(i, scope)
             self.i = self.match[i] + 1
-        elif self.kinds[i] == IDENT:  # pattern variable
-            self.scopes[-1].add(texts[i])
+        elif self.kinds[i] == IDENT:  # type pattern
+            scope.add(texts[i])
             self.i = i + 1
+        else:
+            return False
+        return True
 
     def _bind_components(self, open_: int, scope: Set[str]):
         """Add to ``scope`` the bindings of the record pattern whose '(' is
@@ -568,67 +561,25 @@ class _BodyWalker:
         declarator names are in scope. On failure the cursor is untouched.
         """
         texts, kinds = self.texts, self.kinds
-        save_i = self.i
-        while texts[self.i] in _DECL_HEAD_SKIP:
-            self.i += 1
-        if texts[self.i] == "@":  # local annotation
-            self.i = self.toks.skip_annotation(self.i, self.end)
-        if self._scan_type():
-            i = self.i
-            name = texts[i]
-            if kinds[i] == IDENT and name not in PRIMITIVE_TYPES:
-                nxt = texts[i + 1]
-                if (nxt in terminators or nxt == "=" or nxt == ","
-                        or (nxt == "[" and texts[i + 2] == "]")):
-                    i += 1  # name
-                    while texts[i] == "[" and texts[i + 1] == "]":
-                        i += 2
-                    self.i = i
-                    self.scopes[-1].add(name)
-                    self._declarator_rest(depth, terminators)
-                    return True
-        self.i = save_i
-        return False
-
-    def _declarator_rest(self, depth: int, terminators: Tuple[str, ...]):
-        texts, kinds = self.texts, self.kinds
+        i = self.toks.read_type(self.i, self.end)
+        if i < 0 or kinds[i] != IDENT or texts[i] in PRIMITIVE_TYPES:
+            return False
+        nxt = texts[i + 1]
+        if not (nxt in terminators or nxt == "=" or nxt == ","
+                or (nxt == "[" and texts[i + 2] == "]")):
+            return False
         stops = set(terminators) | {","}
-        while True:
+        while kinds[i] == IDENT:  # a declarator: name, dimensions, initializer
+            self.scopes[-1].add(texts[i])
+            i += 1
+            while texts[i] == "[" and texts[i + 1] == "]":
+                i += 2
+            self.i = i
             if self.eat_if("="):
                 self.parse_expr(stops, depth)
+            if not self.eat_if(","):
+                break
             i = self.i
-            if texts[i] == "," and "," not in terminators:
-                i += 1
-                self.i = i
-                if kinds[i] == IDENT:
-                    self.scopes[-1].add(texts[i])
-                    i += 1
-                    while texts[i] == "[" and texts[i + 1] == "]":
-                        i += 2
-                    self.i = i
-                    continue
-            return
-
-    def _scan_type(self) -> bool:
-        """Consume a type reference; False (cursor untouched) if absent."""
-        texts, kinds = self.texts, self.kinds
-        i = self.i
-        t = texts[i]
-        if t in PRIMITIVE_TYPES or t == "var":
-            i += 1
-        elif kinds[i] == IDENT and t not in ("new", "this", "super"):
-            i += 1
-            while texts[i] == "." and kinds[i + 1] == IDENT:
-                i += 2
-        else:
-            return False
-        if texts[i] == "<":
-            i = self.toks.skip_angles(i, self.end)
-            if i < 0:
-                return False
-        while texts[i] == "[" and texts[i + 1] == "]":
-            i += 2
-        self.i = i
         return True
 
     # ---- misc ---------------------------------------------------------------

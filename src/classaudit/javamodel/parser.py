@@ -6,15 +6,19 @@ bodies, and hands method bodies to the body analyzer. Nested named classes
 become independent units: their members are excluded from the enclosing
 class, while the enclosing line span still covers their text.
 
-Each file is tokenized, with its bracket table, and split into lines once.
-Token lists are indexed directly (their ``""`` sentinel is read past either
-end), bracket extents are table lookups, parameter lists are cut by
-``Tokens.split_commas``, line counts are slices of the line list, and each
+Each file is tokenized, with its bracket table, and its blank lines are
+counted, as a running count, once. Token lists are indexed directly (their
+``""`` sentinel is read past either end), bracket extents are table
+lookups, parameter lists are cut by ``Tokens.split_commas``, and each
 method body goes to the walker as an index range of the lists. Annotations,
-type arguments and type declarations are read by the rules the walker
-reads them by, the ``Tokens`` methods.
+types and type declarations are read by the rules the walker reads them by,
+the ``Tokens`` methods. Members are read forward, ``[type parameters]
+[type] name`` then ``(`` or the declarators, and one that cannot be read is
+given up where reading stopped, or at the name read, and not reread.
 """
 
+from itertools import accumulate
+from operator import not_
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import ParseError, SpanOutOfBounds
@@ -23,15 +27,16 @@ from .model import Event, MethodView, SourceClass
 from .tokens import _TYPE_KEYWORDS, CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
 
 
-def count_loc_and_blank(lines: Sequence[str], line_span: Tuple[int, int]) -> Tuple[int, int]:
-    """Physical and blank line counts for a 1-based inclusive span of a
-    file's lines (split at ``\n`` only, as the tokenizer numbers them)."""
+def count_loc_and_blank(blank_before: Sequence[int],
+                        line_span: Tuple[int, int]) -> Tuple[int, int]:
+    """Physical and blank line counts for a 1-based inclusive span of a file's
+    lines (split at ``\n`` only, as the tokenizer numbers them), of which
+    the first k hold ``blank_before[k]`` blank lines."""
     first, last = line_span
-    if first < 1 or last > max(len(lines), 1) or first > last:
-        raise SpanOutOfBounds(f"span {line_span} outside file of {len(lines)} lines")
-    loc = last - first + 1
-    blank = sum(1 for ln in lines[first - 1:last] if ln.strip() == "")
-    return loc, blank
+    lines = len(blank_before) - 1
+    if first < 1 or last > lines or first > last:
+        raise SpanOutOfBounds(f"span {line_span} outside file of {lines} lines")
+    return last - first + 1, blank_before[last] - blank_before[first - 1]
 
 
 def parse_compilation_unit(source_text: str, file_id: str = "<memory>") -> List[SourceClass]:
@@ -54,9 +59,10 @@ class _UnitParser:
         self.kinds = tokens.kinds
         self.lines = tokens.lines
         self.match = tokens.match
-        self.source_lines = source_text.split("\n")
+        lines = source_text.split("\n")
         if source_text.endswith("\n"):
-            self.source_lines.pop()
+            lines.pop()
+        self.blank_before = list(accumulate(map(not_, map(str.strip, lines)), initial=0))
         self.file_id = file_id
         self.package = ""
 
@@ -227,11 +233,8 @@ class _UnitParser:
             if self.texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
                 i = self._parse_type_decl(i, qualified, nested)
                 continue
-            member = self._parse_member(i, body_close, name)
-            if member is None:
-                i += 1
-                continue
-            i, kind_, mname, param_types, param_names, body_span = member
+            i, kind_, mname, param_types, param_names, body_span = self._parse_member(
+                i, body_close, name)
             if kind_ == "field":
                 if "static" in mods:
                     has_static = True
@@ -261,7 +264,7 @@ class _UnitParser:
             )
 
         last_line = self.lines[body_close]
-        loc, blank = count_loc_and_blank(self.source_lines, (first_line, last_line))
+        loc, blank = count_loc_and_blank(self.blank_before, (first_line, last_line))
         return SourceClass(
             name=name,
             qualified_name=qualified,
@@ -275,42 +278,31 @@ class _UnitParser:
         )
 
     def _parse_member(self, i: int, end: int, class_name: str):
-        """Classify and consume one field / method / constructor.
+        """Read one field, method or constructor forward.
 
         Returns (next_index, kind, name, types, names, body_span) where for
-        fields `types` carries the declarator names. None when the tokens
-        cannot be understood (caller advances one token).
+        fields `types` carries the declarator names. When the tokens are no
+        member, kind is None and next_index, past i, is where reading
+        stopped or the name read, for the caller to resume at.
         """
-        # The first delimiter outside every <...>. A generic member's head
-        # starts past its type parameters. A '<' that never closes gives -1,
-        # which ends the scan.
-        toks = self.toks
-        head = toks.skip_angles(i, end) if self.texts[i] == "<" else i
-        j = head
-        while 0 <= j < end:
-            t = self.texts[j]
-            if t == "<":
-                j = toks.skip_angles(j, end)
-            elif t in ("(", "=", ";", ",", "{", "}"):
-                break
-            else:
-                j += 1
-        else:
-            return None
-        if t == "(":
-            return self._parse_callable(head, j, end, class_name)
-        if t in ("=", ";", ","):
-            return self._parse_field(head, j, end)
-        return None
+        toks, texts = self.toks, self.texts
+        head = toks.skip_angles(i, end) if texts[i] == "<" else i
+        j = toks.read_type(head, end) if head >= 0 else head
+        if j < 0:
+            return (max(~j, i + 1), None, "", [], [], (0, 0))
+        if texts[j] == "(" and j == head + 1:  # a name with no return type
+            return self._parse_callable(head, j, end, class_name, False)
+        k = j + 1
+        while texts[k] == "[" and texts[k + 1] == "]":
+            k += 2
+        if self.kinds[j] == IDENT and texts[k] == "(":
+            return self._parse_callable(j, k, end, class_name, True)
+        if self.kinds[j] == IDENT and texts[k] in ("=", ";", ","):
+            return self._parse_field(j, k, end)
+        return (j, None, "", [], [], (0, 0))
 
-    def _parse_field(self, type_start: int, delim: int, end: int):
-        # tokens[type_start:delim] = type tokens + first declarator name
-        k = delim - 1
-        while k > type_start and self.texts[k] == "]" and self.texts[k - 1] == "[":
-            k -= 2
-        if self.kinds[k] != IDENT:
-            return None
-        names = [self.texts[k]]
+    def _parse_field(self, name_idx: int, delim: int, end: int):
+        names = [self.texts[name_idx]]
         i = delim
         while i < end:
             t = self.texts[i]
@@ -335,12 +327,9 @@ class _UnitParser:
             i = max(self.match[i], i) + 1
         return min(i, end)
 
-    def _parse_callable(self, head: int, paren: int, end: int, class_name: str):
-        name_idx = paren - 1
-        if self.kinds[name_idx] != IDENT:
-            return None
+    def _parse_callable(self, name_idx: int, paren: int, end: int, class_name: str,
+                        has_return_type: bool):
         mname = self.texts[name_idx]
-        has_return_type = name_idx > head
         params_close = self.close_of(paren)
         param_types, param_names = self._parse_params(paren + 1, params_close)
         # throws clause, then body or ';'
@@ -373,26 +362,25 @@ class _UnitParser:
         return types, names
 
     def _param_segment(self, i: int, end: int):
-        """One parameter: [annotations] [final] Type name [ '[]'* ]."""
-        while i < end and (self.texts[i] == "@" or self.texts[i] == "final"):
-            if self.texts[i] == "@":
-                i = self.toks.skip_annotation(i, end)
-            else:
+        """One parameter: [annotations] [final] Type name [ '[]'* ]. The
+        type's text drops the ``final`` and every annotation."""
+        texts, toks = self.texts, self.toks
+        j = toks.read_type(i, end)
+        if j < 0 or self.kinds[j] != IDENT or texts[j] == "this":
+            return None  # no type, or not a name
+        k = j + 1
+        while texts[k] == "[" and texts[k + 1] == "]":
+            k += 2
+        if k != end:
+            return None
+        parts = texts[i:j]
+        if "@" in parts or "final" in parts:
+            parts = []
+            while i < j:
+                if texts[i] == "@":
+                    i = toks.skip_annotation(i, j)
+                    continue
+                if texts[i] != "final":
+                    parts.append(texts[i])
                 i += 1
-        if i >= end:
-            return None
-        k = end - 1
-        trailing = 0
-        while k - 1 >= i and self.texts[k] == "]" and self.texts[k - 1] == "[":
-            trailing += 1
-            k -= 2
-        if self.kinds[k] != IDENT or k == i:
-            return None  # degenerate: no type, or not a name
-        name = self.texts[k]
-        if name == "this":
-            return None
-        type_text = "".join(self.texts[i:k])
-        type_text += "[]" * trailing
-        if not type_text:
-            return None
-        return (type_text, name)
+        return ("".join(parts) + "[]" * ((k - j - 1) // 2), texts[j])

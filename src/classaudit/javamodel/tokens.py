@@ -38,15 +38,20 @@ which is inside the range whenever one there is open.
 
 The parser and the body walker share the token-level rules on ``Tokens``:
 ``skip_annotation`` skips ``@a.b.C(...)``, ``skip_angles`` a balanced
-``<...>`` of type arguments, and ``type_decl_at`` tells a class,
-interface, enum or record declaration. ``split_commas`` cuts the items of
-a list. Each jumps groups by the table, and all follow one rule on
-malformed input: a scan over a range takes an unpaired bracket as an
-ordinary token, and ends at a group whose partner lies past its end.
-``skip_angles`` and ``split_commas`` count ``<>``, which the table cannot
-hold, ``<`` being also less-than. They differ on a ``<`` that never
-closes: ``skip_angles`` gives up at the first token that ends a type
-argument list as an expression instead (``NOT_IN_ANGLES``), while
+``<...>`` of type arguments, ``read_type`` a type, and ``type_decl_at``
+tells a class, interface, enum or record declaration. ``split_commas``
+cuts the items of a list. Each jumps groups by the table, and all follow
+one rule on malformed input: a scan over a range takes an unpaired bracket
+as an ordinary token, and ends at a group whose partner lies past its end.
+``read_type`` reads forward and builds no text: dotted names, each after
+its annotations (or a ``final``) and before its type arguments, then ``[]``
+pairs and a ``...``, each after its annotations. It and ``skip_angles``
+give ``~stop`` where they cannot read on, for a caller to resume at
+``stop`` without reading again what they read. ``skip_angles`` and
+``split_commas`` count ``<>``, which the table cannot hold, ``<`` being
+also less-than. They differ on a ``<`` that never closes: ``skip_angles``
+stops at the first token that ends a type argument list as an expression
+instead (``NOT_IN_ANGLES``, where a ``{`` stops it paired or not), while
 ``split_commas`` must cut every list it is given, so it keeps its own
 counter, which takes a stray ``<`` as one more level: the commas after it
 split nothing.
@@ -177,25 +182,52 @@ class Tokens:
         return min(i, end)
 
     def skip_angles(self, i: int, end: int) -> int:
-        """At '<': the index past its balanced ``<...>``, bracket groups
-        jumped; -1 at ``end`` or at a token of ``NOT_IN_ANGLES``."""
+        """At '<': the index past its balanced ``<...>``, ``(...)`` and
+        ``[...]`` groups jumped; ``~stop`` at ``end`` or at a token of
+        ``NOT_IN_ANGLES``, ``stop`` being where it stopped."""
         texts, match = self.texts, self.match
         level = 0
         while i < end:
             t = texts[i]
             j = match[i]
-            if j > i:  # a group: jump it; a partner past end ends the scan
-                i = j
-            elif t == "<":
+            if t == "<":
                 level += 1
             elif t == ">":
                 level -= 1
                 if not level:
                     return i + 1
+            elif j > i and t != "{":  # a group: jump it; past end ends the scan
+                i = j
             elif t in NOT_IN_ANGLES:
-                return -1
+                return ~i
             i += 1
-        return -1
+        return ~end
+
+    def read_type(self, i: int, end: int) -> int:
+        """At a type, or the annotations and ``final`` before it: the index
+        past it, at most ``end``; ``~stop`` when no type can be read, ``stop``
+        being where reading stopped."""
+        texts, kinds = self.texts, self.kinds
+        while True:  # a dotted name
+            while (texts[i] == "@" or texts[i] == "final") and i < end:
+                i = self.skip_annotation(i, end) if texts[i] == "@" else i + 1
+            if kinds[i] != IDENT or i >= end:
+                return ~i
+            i += 1
+            if texts[i] == "<":
+                i = self.skip_angles(i, end)
+                if i < 0:
+                    return i
+            if texts[i] != "." or i >= end:
+                break
+            i += 1
+        k = i
+        while True:  # array dimensions, then varargs, each may be annotated
+            while texts[k] == "@" and k < end:
+                k = self.skip_annotation(k, end)
+            if texts[k] != "[" or texts[k + 1] != "]" or k + 1 >= end:
+                return k + 1 if texts[k] == "..." and k < end else i
+            i = k = k + 2
 
     def type_decl_at(self, i: int) -> bool:
         """Whether a class, interface or enum declaration (keyword, then a

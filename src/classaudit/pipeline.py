@@ -9,7 +9,9 @@ tallies always satisfy input = output + metric + quantile + label drops.
 
 import math
 import os
+import re
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Union
 
@@ -198,7 +200,8 @@ def ingest_cam_csv(
     the last '.' or '$') is empty, a non-numeric metric cell, or a count
     cell that is not a finite whole number are tallied and skipped,
     reported at the file line where the row starts, and so is a row the csv
-    module rejects. A metric column absent from the header is fatal
+    module rejects, through to its end: a quoted cell left open runs on to
+    its closing quote. A metric column absent from the header is fatal
     (MissingColumn), and so are a header the csv module rejects and bytes
     that are not UTF-8 (ParseError, the latter at line 0). As with
     csv.DictReader, blank rows are skipped and not counted, a short row's
@@ -233,11 +236,12 @@ def ingest_cam_csv(
             static_at = index.get(static_col)
             width = max(positions + [static_at or 0]) + 1
             cells_of = itemgetter(*positions)
+            skipped = 0  # lines read past the reader to the end of a rejected row
             start = reader.line_num + 1
             while True:
                 try:
                     for row in reader:
-                        lineno, start = start, reader.line_num + 1
+                        lineno, start = start, reader.line_num + skipped + 1
                         if not row:
                             continue
                         diag.rows_seen += 1
@@ -255,13 +259,33 @@ def ingest_cam_csv(
                 except csv.Error as exc:  # the reader goes on at the next line
                     diag.rows_seen += 1
                     diag.skip(path, start, str(exc))
-                    start = reader.line_num + 1
+                    skipped += _rest_of_row(path, start, reader.line_num + skipped, fh)
+                    start = reader.line_num + skipped + 1
         except UnicodeDecodeError as exc:
             # Decoded in chunks, so no row line is known.
             raise ParseError(path, 0, f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, "
                                       f"{exc.reason}") from None
         except csv.Error as exc:  # the header's; a row's is a SKIP above
             raise ParseError(path, reader.line_num, str(exc)) from None
+
+
+# The text of a CSV row that ends inside a quoted cell, as the csv module
+# reads its default dialect (the text after a cell's closing quote joins it).
+_OPEN_QUOTED_CELL = re.compile(
+    r'(?:(?:"(?:[^"]|"")*"(?!")[^,\r\n]*|[^",\r\n][^,\r\n]*|),)*"(?:[^"]|"")*')
+
+
+def _rest_of_row(path: str, first: int, last: int, fh) -> int:
+    """How many lines of ``fh`` finish the row the csv module rejected on
+    lines ``first`` to ``last`` of ``path``: those up to where the row's
+    open quoted cell, if it has one, closes."""
+    with open(path, "r", encoding="utf-8", newline="") as again:
+        text = "".join(islice(again, first - 1, last))
+    read = 0
+    while _OPEN_QUOTED_CELL.fullmatch(text) and (line := next(fh, "")):
+        read += 1
+        text = '"' + line  # the line goes on inside the quoted cell
+    return read
 
 
 # The order in which a row's cells are read and checked; the first bad cell

@@ -200,3 +200,20 @@ def test_annotation_arguments_in_a_body_are_not_accesses():
         (cls,) = parse_compilation_unit(source)
         assert cls.methods[0].accessed_attributes == set(), annotation
     assert accesses("for (@a.b.C(x) int z : zs) { }", {"x"}) == set()
+
+
+@pytest.mark.parametrize("body", [
+    "java.util.@NonNull List x = null; x.size();",
+    "Outer<T>.Inner x = null; x++;",
+    "final @A int @B [] x = null; x[0]++;",
+], ids=["annotated_qualified", "inner_of_generic", "annotated_array"])
+def test_local_of_an_annotated_or_inner_type_shadows(body):
+    assert accesses(body, {"x"}) == set()
+
+
+@pytest.mark.parametrize("label", ["java.util.@NonNull List x", "Outer<T>.Inner x"],
+                         ids=["annotated_qualified", "inner_of_generic"])
+def test_pattern_of_an_annotated_or_inner_type_binds(label):
+    assert accesses(f"if (o instanceof {label}) {{ x.f(); }}", {"x"}) == set()
+    assert accesses(f"switch (o) {{ case {label} -> x.f(); default -> x.f(); }}",
+                    {"x"}) == {"x"}  # bound in its own arm only

@@ -9,7 +9,10 @@ whose simple name is empty (`org.p.`, `Outer$`) is a SKIP, where classify()
 raised ValueError out of the run. On CSVs
 without blank rows or multi-line cells, where the reference's record count
 plus one is the file line, both must give the same records, the same
-SKIP lines and tallies, or the same exception.
+SKIP lines and tallies, or the same exception. Neither sees a row the csv
+module rejects, which the reference would raise out of the run: where
+ingest resumes after one rests on its reading of quoted cells, which is
+checked against the csv module's own reading at the end of this file.
 """
 
 import csv
@@ -23,6 +26,7 @@ from classaudit.classify import EXCLUDED_TO_REST, SuffixRules, classify
 from classaudit.errors import MissingColumn, RowParseError
 from classaudit.metrics import ClassMetrics
 from classaudit.pipeline import (
+    _OPEN_QUOTED_CELL,
     CAM_REQUIRED_KEYS,
     ClassRecord,
     DEFAULT_CAM_COLUMN_MAP,
@@ -236,3 +240,15 @@ def test_header_only_file_has_no_records(tmp_path):
     assert (diag.rows_seen, diag.skipped, diag.lines) == (0, 0, [])
     assert_same_as_reference(path)
 
+
+
+@given(line=st.text(alphabet='a ,"', max_size=12), inside=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_open_quoted_cell_is_where_the_csv_module_reads_on(line, inside):
+    # A row's line, from its start or from inside a quoted cell, leaves a
+    # quoted cell open exactly when the csv module reads the next line into
+    # the same row.
+    text = ('"' if inside else "") + line + "\n"
+    reader = csv.reader([text, "next\n"])
+    next(reader)
+    assert bool(_OPEN_QUOTED_CELL.fullmatch(text)) == (reader.line_num == 2)

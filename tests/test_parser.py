@@ -7,6 +7,7 @@ from conftest import child_env
 
 from classaudit.errors import ParseError, SpanOutOfBounds
 from classaudit.javamodel import count_loc_and_blank, parse_compilation_unit
+from classaudit.metrics import class_metrics
 
 
 def parse(code, file_id="Test.java"):
@@ -120,6 +121,32 @@ class A {
     assert types["f"] == ["java.util.Map<String,int[]>"]
 
 
+@pytest.mark.parametrize("declared, expected", [
+    ("java.util.@NonNull List", "java.util.List"),
+    ("List<@NonNull String>", "List<String>"),
+    ("@A final java.util.@B Map<@C String, @D List<int @E []>>",
+     "java.util.Map<String,List<int[]>>"),
+    ("int @A []", "int[]"),
+    ("String @A ...", "String..."),
+], ids=["qualified", "type_argument", "everywhere", "array", "varargs"])
+def test_parameter_type_drops_type_use_annotations(declared, expected):
+    (a,) = parse(f"class A {{ void f({declared} x) {{}} }}")
+    assert a.methods[0].parameter_types == [expected]
+
+
+def test_annotated_array_type_declares_a_field():
+    (a,) = parse("class A { int @A [] x; void f(int @A [] y) { x = y; } }")
+    assert a.attributes == ["x"]
+    assert a.methods[0].parameter_types == ["int[]"]
+    assert a.methods[0].accessed_attributes == {"x"}
+
+
+def test_varargs_and_array_parameters_are_different_types():
+    (a,) = parse("class A { void f(String... a) {} void g(String[] a) {} }")
+    assert [m.parameter_types for m in a.methods] == [["String..."], ["String[]"]]
+    assert class_metrics(a).l_types == 2
+
+
 def test_multi_declarator_fields_and_initializers():
     code = "class A { int a = 1, b, c = f(1, 2); Runnable r = () -> {}; }"
     a = parse(code)[0]
@@ -155,19 +182,25 @@ def test_line_span_and_loc(metrics_dir):
 
 
 def test_count_loc_and_blank_examples():
-    lines = ["class A {", "", "int x;", "  ", "int y;", "}"]
-    assert count_loc_and_blank(lines, (1, 6)) == (6, 2)
-    assert count_loc_and_blank(["class A {}"], (1, 1)) == (1, 0)
-    # mixed tabs/space-only lines, hand-counted
-    lines = ["a", "\t", "b", "   \t ", "c"]
-    assert count_loc_and_blank(lines, (1, 5)) == (5, 2)
+    # the running blank counts of "class A {", "", "int x;", "  ", "int y;", "}"
+    blank_before = [0, 0, 1, 1, 2, 2, 2]
+    assert count_loc_and_blank(blank_before, (1, 6)) == (6, 2)
+    assert count_loc_and_blank(blank_before, (2, 4)) == (3, 2)
+    assert count_loc_and_blank(blank_before, (5, 6)) == (2, 0)
+    assert count_loc_and_blank([0, 0], (1, 1)) == (1, 0)  # "class A {}"
+
+
+def test_tab_and_space_only_lines_are_blank():
+    a = parse("class A {\n\t\nint x;\n   \t \n}")[0]
+    assert (a.loc, a.blank_lines) == (5, 2)
 
 
 def test_count_loc_span_out_of_bounds():
+    two_lines = [0, 0, 0]
     with pytest.raises(SpanOutOfBounds):
-        count_loc_and_blank(["one", "two"], (1, 3))
+        count_loc_and_blank(two_lines, (1, 3))
     with pytest.raises(SpanOutOfBounds):
-        count_loc_and_blank(["one", "two"], (0, 1))
+        count_loc_and_blank(two_lines, (0, 1))
 
 
 def test_form_feed_does_not_split_a_line():
@@ -266,7 +299,8 @@ def test_type_keyword_without_a_name_is_no_field(keyword):
 def test_member_scan_after_an_unclosed_angle_is_linear():
     # Each `int < x ;` starts a member scan that meets a `<` never closed.
     # Scanning such a `<` to the end of the class body for every token
-    # took time quadratic in the body's length.
+    # took time quadratic in the body's length. `int < x` is no readable
+    # type, so no member is read.
     script = (
         "from classaudit.javamodel import parse_compilation_unit\n"
         "(cls,) = parse_compilation_unit('class A { ' + 'int < x ; ' * 16000 + '}')\n"
@@ -280,7 +314,7 @@ def test_member_scan_after_an_unclosed_angle_is_linear():
         timeout=30,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["['x']"]
+    assert result.stdout.split() == ["[]"]
 
 
 def test_two_top_level_classes():

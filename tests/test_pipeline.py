@@ -499,6 +499,26 @@ def test_cam_csv_row_the_csv_module_rejects_is_skipped(tmp_path):
     assert (diag.rows_seen, diag.skipped) == (3, 1)
 
 
+@pytest.mark.parametrize("rest, lines", [
+    ('more",0.7,3,4,2.0,3,1,100,10,false\n', 2),
+    ('more""\n"" still quoted",0.7,3,"4\n",2.0,3,1,100,10,false\n', 4),
+], ids=["one_line_more", "doubled_quotes_and_a_second_quoted_cell"])
+def test_cam_csv_row_rejected_in_a_quoted_cell_ends_where_the_cell_does(tmp_path, rest, lines):
+    good = "a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"
+    huge = "x" * (csv.field_size_limit() + 1)
+    path = write_csv(tmp_path, [
+        good,                                            # line 2
+        f'a.B,"{huge}\n' + rest,                         # lines 3 on: one row
+        good.replace("a.C", "a.D"),
+    ])
+    diag = Diagnostics()
+    records = list(ingest_cam_csv(path, CSV_MAP, diagnostics=diag))
+    limit = csv.field_size_limit()
+    assert diag.lines == [f"SKIP {path}:3 field larger than field limit ({limit})"]
+    assert [r.origin for r in records] == [f"{path}:2", f"{path}:{3 + lines}"]
+    assert (diag.rows_seen, diag.skipped) == (3, 1)
+
+
 def test_cam_csv_header_the_csv_module_rejects_is_a_parse_error(tmp_path):
     huge = "x" * (csv.field_size_limit() + 1)
     path = write_csv(tmp_path, ["a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"],
