@@ -1,7 +1,8 @@
 """Structural view of Java classes: just the facts the metrics consume.
 
-Only ``class`` declarations (top-level and named nested, wherever they sit)
-become units; interfaces, enums, records, annotation types, and anonymous
+Only ``class`` declarations at the top level or among the members of a
+type (a class, interface, enum, record or annotation type) become units;
+interfaces, enums, records, annotation types, and local and anonymous
 classes do not. That scope is a modeling decision, not something the input
 format dictates: it keeps the attribute-based cohesion metrics well defined.
 Constructors are excluded from the method list everywhere.

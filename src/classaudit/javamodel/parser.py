@@ -1,10 +1,16 @@
 """Structural parser: Java compilation unit -> SourceClass records.
 
-This is a lenient token-level parser, not a full grammar. It finds type
-declarations, separates fields from methods from constructors inside class
-bodies, and hands method bodies to the body analyzer. Nested named classes
-become independent units: their members are excluded from the enclosing
-class, while the enclosing line span still covers their text.
+This is a lenient token-level parser, not a full grammar. One member loop
+reads the compilation unit, after its package declaration, and the body of
+every class, interface, enum, record and annotation type. It separates
+fields from methods from constructors, and hands the method bodies of
+classes to the body analyzer. Method bodies, initializers and enum
+constants' bodies are jumped, so the classes declared in them, local and
+anonymous ones, are no units. Member classes, of any type, become
+independent units: their members are excluded from the enclosing class,
+while the enclosing line span still covers their text. A class's span
+starts where the loop starts reading its declaration, at its first
+annotation or modifier.
 
 Each file is tokenized, with its bracket table, and its blank lines are
 counted, as a running count, once. Token lists are indexed directly (their
@@ -40,10 +46,11 @@ def count_loc_and_blank(blank_before: Sequence[int],
 
 
 def parse_compilation_unit(source_text: str, file_id: str = "<memory>") -> List[SourceClass]:
-    """Extract one SourceClass per named ``class`` declaration.
+    """Extract one SourceClass per top-level or member ``class`` declaration.
 
-    Interfaces, enums, records, annotation types and anonymous classes yield
-    no unit, but named classes nested inside them still do. Raises
+    Interfaces, enums, records and annotation types yield no unit, but
+    their member classes still do. Local and anonymous classes, in method
+    bodies, initializers or enum constants' bodies, yield none. Raises
     ParseError when the text cannot be tokenized or braces do not balance.
     """
     tokens = tokenize(source_text, file_id)
@@ -64,7 +71,6 @@ class _UnitParser:
             lines.pop()
         self.blank_before = list(accumulate(map(not_, map(str.strip, lines)), initial=0))
         self.file_id = file_id
-        self.package = ""
 
     # ---- token helpers ----------------------------------------------------
 
@@ -77,73 +83,84 @@ class _UnitParser:
             raise ParseError(self.file_id, self.lines[i], f"unbalanced {t}{CLOSING[t]}")
         return j
 
-    # ---- top level ----------------------------------------------------------
+    # ---- top level and type bodies ----------------------------------------
 
     def parse_top_level(self) -> List[SourceClass]:
+        """Read the package declaration, if the file starts with one, then
+        the compilation unit's members; returns the top-level units."""
+        texts = self.texts
+        i = j = 0
+        if texts[0] == "package":
+            j = 1
+            while texts[j] != ";" and j < self.n:
+                j += 1
+            i = j + 1
         units: List[SourceClass] = []
-        i = 0
-        while i < self.n:
-            t = self.texts[i]
-            if t == "package":
-                j = i + 1
-                parts = []
-                while self.texts[j] != ";" and j < self.n:
-                    parts.append(self.texts[j])
-                    j += 1
-                self.package = "".join(parts)
-                i = j + 1
-                continue
-            if t == "import":
-                while i < self.n and self.texts[i] != ";":
-                    i += 1
-                i += 1
-                continue
-            i = self._scan_region(i, self.package, units)
+        self._read_members(i, self.n, "", "".join(texts[1:j]), units)
         return units
 
-    def _scan_region(self, i: int, prefix: str, units: List[SourceClass]) -> int:
-        """Handle one construct starting at i; returns the index after it.
-        Collects class units found anywhere inside."""
-        t = self.texts[i]
-        if t == "@" and self.texts[i + 1] != "interface":
-            return self.toks.skip_annotation(i, self.n)
-        if t in MODIFIER_WORDS:
-            return i + 1
-        if self.toks.type_decl_at(i):
-            return self._parse_type_decl(i, prefix, units)
-        if t == "{":
-            close = self.close_of(i)
-            self._scan_nested_types(i + 1, close, prefix, units)
-            return close + 1
-        if t == "(":
-            return self.close_of(i) + 1
-        return i + 1
-
-    def _decl_first_index(self, i: int) -> int:
-        """Walk back from the token at i over modifiers and annotations
-        (``@a.b.C``, ``@a.b.C(...)``) to the declaration start."""
-        texts, kinds = self.texts, self.kinds
-        j = i
-        while True:
-            prev = texts[j - 1]
-            if prev in MODIFIER_WORDS or prev == "non" or prev == "-":
-                j -= 1
+    def _read_members(self, i: int, end: int, owner: str, prefix: str,
+                      nested: List[SourceClass]):
+        """Read the members in [i, end), of a type body or the compilation
+        unit, forward. Type declarations go to ``nested``, qualified by
+        ``prefix``; a method named ``owner`` with no return type is a
+        constructor. Returns the field names (in declaration order), the
+        methods as (name, parameter types, parameter names, body span) and
+        whether a field or method is static."""
+        texts = self.texts
+        attributes: Dict[str, None] = {}
+        raw_methods: List[Tuple[str, List[str], List[str], Tuple[int, int]]] = []
+        has_static = False
+        while i < end:
+            if texts[i] == ";":
+                i += 1
                 continue
-            k = j - 1  # the annotation's last name token
-            if prev == ")":
-                k = self.match[k] - 1  # before its '(', or -2 if unpaired
-            if k < 0 or kinds[k] != IDENT:
-                return j
-            k -= 1
-            while texts[k] == "." and kinds[k - 1] == IDENT:
-                k -= 2
-            if texts[k] != "@":
-                return j
-            j = k
+            start = i
+            mods: Set[str] = set()
+            while i < end:
+                t = texts[i]
+                if t == "@" and texts[i + 1] != "interface":
+                    i = self.toks.skip_annotation(i, end)
+                elif t in MODIFIER_WORDS:
+                    mods.add(t)
+                    i += 1
+                elif t == "non" and texts[i + 1] == "-" and texts[i + 2] == "sealed":
+                    i += 3
+                else:
+                    break
+            if i >= end:
+                break
+            t = texts[i]
+            if t == "{":  # initializer block, or an enum constant's body
+                i = self.close_of(i) + 1
+                continue
+            if t == "@":  # the loop above stops at '@' only before 'interface'
+                i += 1
+            # _parse_type_decl steps over a type keyword not followed by a name
+            if texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
+                i = self._parse_type_decl(i, self.lines[start], prefix, nested)
+                continue
+            i, kind_, mname, param_types, param_names, body_span = self._parse_member(
+                i, end, owner)
+            if kind_ == "field":
+                if "static" in mods:
+                    has_static = True
+                for fname in param_types:  # declarator names for fields
+                    attributes[fname] = None
+            elif kind_ == "method":
+                if "static" in mods:
+                    has_static = True
+                raw_methods.append((mname, param_types, param_names, body_span))
+            # constructors contribute nothing
+        return attributes, raw_methods, has_static
 
-    def _parse_type_decl(self, i: int, prefix: str, units: List[SourceClass]) -> int:
+    def _parse_type_decl(self, i: int, first_line: int, prefix: str,
+                         units: List[SourceClass]) -> int:
+        """Read the type declaration whose keyword is at i; returns the index
+        after it. A ``class`` becomes a unit in ``units``, with the classes
+        declared among its members as its nested units. Any other type is
+        no unit, and the classes among its members go to ``units``."""
         keyword = self.texts[i]
-        is_annotation_decl = keyword == "interface" and self.texts[i - 1] == "@"
         name_idx = i + 1
         if self.kinds[name_idx] != IDENT:
             return i + 1
@@ -159,92 +176,14 @@ class _UnitParser:
             j += 1
         if j >= self.n:
             raise ParseError(self.file_id, self.lines[i], f"missing body for {keyword} {name}")
-        body_open = j
-        body_close = self.close_of(body_open)
+        body_close = self.close_of(j)
         qualified = f"{prefix}.{name}" if prefix else name
-        if keyword == "class" and not is_annotation_decl:
-            first_line = self.lines[self._decl_first_index(i)]
-            unit = self._build_class(
-                name, qualified, body_open, body_close, first_line
-            )
-            units.append(unit)
-        else:
-            # not a unit, but classes nested inside still are
-            self._scan_nested_types(body_open + 1, body_close, qualified, units)
-        return body_close + 1
-
-    def _scan_nested_types(self, i: int, end: int, prefix: str, units: List[SourceClass]):
-        """Find type declarations anywhere in [i, end) without modeling the
-        surrounding construct (interface/enum/record bodies, initializers)."""
-        while i < end:
-            t = self.texts[i]
-            if self.toks.type_decl_at(i):
-                i = self._parse_type_decl(i, prefix, units)
-                continue
-            if t == "{":
-                close = self.close_of(i)
-                self._scan_nested_types(i + 1, close, prefix, units)
-                i = close + 1
-                continue
-            i += 1
-
-    # ---- class bodies ---------------------------------------------------------
-
-    def _build_class(
-        self,
-        name: str,
-        qualified: str,
-        body_open: int,
-        body_close: int,
-        first_line: int,
-    ) -> SourceClass:
-        attributes: Dict[str, None] = {}  # names, in declaration order
+        if keyword != "class":
+            self._read_members(j + 1, body_close, name, qualified, units)
+            return body_close + 1
         nested: List[SourceClass] = []
-        raw_methods: List[Tuple[str, List[str], List[str], Tuple[int, int]]] = []
-        has_static = False
-
-        i = body_open + 1
-        while i < body_close:
-            t = self.texts[i]
-            if t == ";":
-                i += 1
-                continue
-            mods: Set[str] = set()
-            while i < body_close:
-                t = self.texts[i]
-                if t == "@" and self.texts[i + 1] != "interface":
-                    i = self.toks.skip_annotation(i, body_close)
-                elif t in MODIFIER_WORDS:
-                    mods.add(t)
-                    i += 1
-                elif t == "non" and self.texts[i + 1] == "-" and self.texts[i + 2] == "sealed":
-                    i += 3
-                else:
-                    break
-            t = self.texts[i]
-            if i >= body_close:
-                break
-            if t == "{":  # initializer block (static or instance)
-                i = self.close_of(i) + 1
-                continue
-            if t == "@":  # the loop above stops at '@' only before 'interface'
-                i += 1
-            # _parse_type_decl steps over a type keyword not followed by a name
-            if self.texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
-                i = self._parse_type_decl(i, qualified, nested)
-                continue
-            i, kind_, mname, param_types, param_names, body_span = self._parse_member(
-                i, body_close, name)
-            if kind_ == "field":
-                if "static" in mods:
-                    has_static = True
-                for fname in param_types:  # declarator names for fields
-                    attributes[fname] = None
-            elif kind_ == "method":
-                if "static" in mods:
-                    has_static = True
-                raw_methods.append((mname, param_types, param_names, body_span))
-            # constructors contribute nothing
+        attributes, raw_methods, has_static = self._read_members(
+            j + 1, body_close, name, qualified, nested)
 
         methods: List[MethodView] = []
         for mname, ptypes, pnames, body_span in raw_methods:
@@ -265,7 +204,7 @@ class _UnitParser:
 
         last_line = self.lines[body_close]
         loc, blank = count_loc_and_blank(self.blank_before, (first_line, last_line))
-        return SourceClass(
+        units.append(SourceClass(
             name=name,
             qualified_name=qualified,
             attributes=list(attributes),
@@ -275,7 +214,8 @@ class _UnitParser:
             loc=loc,
             blank_lines=blank,
             nested=nested,
-        )
+        ))
+        return body_close + 1
 
     def _parse_member(self, i: int, end: int, class_name: str):
         """Read one field, method or constructor forward.
@@ -292,12 +232,14 @@ class _UnitParser:
             return (max(~j, i + 1), None, "", [], [], (0, 0))
         if texts[j] == "(" and j == head + 1:  # a name with no return type
             return self._parse_callable(head, j, end, class_name, False)
+        if self.kinds[j] != IDENT:  # j may be the sentinel, at the stream's end
+            return (j, None, "", [], [], (0, 0))
         k = j + 1
         while texts[k] == "[" and texts[k + 1] == "]":
             k += 2
-        if self.kinds[j] == IDENT and texts[k] == "(":
+        if texts[k] == "(":
             return self._parse_callable(j, k, end, class_name, True)
-        if self.kinds[j] == IDENT and texts[k] in ("=", ";", ","):
+        if texts[k] in ("=", ";", ","):
             return self._parse_field(j, k, end)
         return (j, None, "", [], [], (0, 0))
 

@@ -110,17 +110,25 @@ def ingest_sources(
 ) -> Iterator[ClassRecord]:
     """Parse every .java file under the roots into ClassRecords.
 
-    Unreadable roots raise OSError (fatal); per-file parse failures, files
-    nested too deeply for the recursive walk, and any other exception raised
-    while analyzing one file are tallied in diagnostics and skipped.
-    Traversal order is sorted, so the record stream is deterministic.
+    Unreadable roots raise OSError (fatal); subdirectories that cannot be
+    listed, per-file parse failures, files nested too deeply for the
+    recursive walk, and any other exception raised while analyzing one file
+    are tallied in diagnostics, as one input each, and skipped. Traversal
+    order is sorted, so the record stream is deterministic.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
+
+    def unlisted(exc: OSError):
+        if exc.filename == root:  # os.walk lists the root by the name given
+            raise exc
+        diag.files_seen += 1
+        diag.skip(exc.filename, 0, str(exc))
+
     for root in roots:
         root = os.fspath(root)
         if not os.path.isdir(root):
             raise FileNotFoundError(f"input root is not a directory: {root}")
-        for dirpath, dirnames, filenames in os.walk(root):
+        for dirpath, dirnames, filenames in os.walk(root, onerror=unlisted):
             dirnames.sort()
             for fname in sorted(filenames):
                 if not fname.endswith(".java"):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import sys
@@ -73,6 +74,20 @@ def field_view(value):
     if isinstance(value, dict):
         return {k: field_view(v) for k, v in value.items()}
     return value
+
+
+def refuse_listing(monkeypatch, directory):
+    """Make ``os.scandir`` fail on ``directory`` as it does on one without
+    read permission, which ``chmod`` cannot set up for a test run as root."""
+    scandir = os.scandir
+    path = os.fspath(directory)
+
+    def guarded(top="."):
+        if os.fspath(top) == path:
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return scandir(top)
+
+    monkeypatch.setattr(os, "scandir", guarded)
 
 
 @pytest.fixture(scope="session")

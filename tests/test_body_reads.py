@@ -15,20 +15,19 @@ from classaudit.errors import ParseError
 from classaudit.javamodel import analyze_body, parse_compilation_unit, parser, tokenize
 from classaudit.javamodel.tokens import Tokens
 
-from test_fuzz_pipeline import FIXTURES, MUTANTS_PER_FIXTURE, mutate
+from test_fuzz_pipeline import FIXTURES, MUTANTS_PER_FIXTURE, fixture_tokens, mutate
 
 
 def sources(seed):
     """The fixtures as written, or with a seed their token mutants."""
     rng = random.Random(seed)
     for path in FIXTURES:
-        text = path.read_text(encoding="utf-8")
         if seed is None:
-            yield text
+            yield path.read_text(encoding="utf-8")
         else:
-            texts = tokenize(text).texts[:-1]
+            tokens = fixture_tokens(path)
             for _ in range(MUTANTS_PER_FIXTURE):
-                yield mutate(texts, rng)
+                yield mutate(tokens, rng)
 
 
 def recorded_calls(seed, monkeypatch):

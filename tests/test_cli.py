@@ -9,7 +9,7 @@ import pytest
 
 from classaudit.cli import RunConfig, config_from_args, main, run
 
-from conftest import child_env
+from conftest import child_env, refuse_listing
 
 
 def run_cli(argv):
@@ -40,6 +40,24 @@ def test_exit_one_on_missing_input(tmp_path):
     config = RunConfig(mode="source", inputs=[str(tmp_path / "absent")])
     assert run(config, out=out, err=err) == 1
     assert "error:" in err.getvalue()
+
+
+def test_exit_one_on_a_root_it_cannot_list(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text("class A { int x; void f() { x = 1; } }")
+    refuse_listing(monkeypatch, tmp_path)
+    code, out, err = run_cli(["--mode=source", f"--input={tmp_path}"])
+    assert code == 1
+    assert err.splitlines() == [f"error: [Errno 13] Permission denied: '{tmp_path}'"]
+
+
+def test_a_subdirectory_it_cannot_list_counts_toward_the_skip_rate(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text("class A { int x; void f() { x = 1; } }")
+    (tmp_path / "locked").mkdir()
+    refuse_listing(monkeypatch, tmp_path / "locked")
+    code, out, err = run_cli(["--mode=source", f"--input={tmp_path}"])
+    assert code == 2  # 1 of 2 inputs skipped
+    assert err.splitlines() == [f"SKIP {tmp_path / 'locked'}:0 [Errno 13] Permission denied: "
+                                f"'{tmp_path / 'locked'}'"]
 
 
 def test_exit_two_on_high_skip_rate(tmp_path):

@@ -5,11 +5,12 @@ token, or inject one token of an alphabet: the brackets, or the brackets
 plus the ``< > @ . , ?`` that type arguments and annotations are read
 from), and separately every prefix and suffix of its tokens is taken, so
 that the parser's look-ahead and look-behind meet the ends of the stream.
-Each result goes through `parse_compilation_unit` and `class_metrics`. It
-must either parse, with every class's metrics inside their theoretical
-ranges, or raise `ParseError` or `RecursionError`, which ingest reports as
-SKIP lines. Any other exception is a failure. The fuzz runs in a
-subprocess with a timeout, because a hang is a failure too.
+Every token stays on its source line, so line spans can change too. Each
+result goes through `parse_compilation_unit` and `class_metrics`. It must
+either parse, with every class's line span and metrics inside their
+theoretical ranges, or raise `ParseError` or `RecursionError`, which
+ingest reports as SKIP lines. Any other exception is a failure. The fuzz
+runs in a subprocess with a timeout, because a hang is a failure too.
 
 Run as a script, ``python tests/test_fuzz_pipeline.py SEED [ALPHABET]``
 prints the failures of one seed's mutants as a JSON list (``ALPHABET`` is
@@ -39,9 +40,30 @@ BRACKETS = ["{", "}", "(", ")", "[", "]"]
 ALPHABETS = {"brackets": BRACKETS, "tokens": BRACKETS + ["<", ">", "@", ".", ",", "?"]}
 
 
-def mutate(texts, rng, alphabet=BRACKETS):
-    """1 to 4 seeded token edits of a token-text list, joined as source."""
-    mutated = list(texts)
+def fixture_tokens(path):
+    """A fixture's tokens as (text, line) pairs."""
+    from classaudit.javamodel import tokenize
+
+    toks = tokenize(path.read_text(encoding="utf-8"))
+    return list(zip(toks.texts, toks.lines))  # the sentinel has no line
+
+
+def source_of(tokens):
+    """Source text of (text, line) pairs: each token on its line, or on the
+    line the text before it ends on when that is later."""
+    parts = []
+    line = 1
+    for text, at in tokens:
+        parts.append("\n" * (at - line) if at > line else " ")
+        parts.append(text)
+        line = max(line, at) + text.count("\n")
+    return "".join(parts)
+
+
+def mutate(tokens, rng, alphabet=BRACKETS):
+    """1 to 4 seeded edits of a list of (text, line) pairs, as source. A
+    duplicate or an inserted token takes the line of the token before it."""
+    mutated = list(tokens)
     for _ in range(rng.randint(1, 4)):
         k = rng.randrange(len(mutated) + 1)
         op = rng.randrange(4)
@@ -52,13 +74,19 @@ def mutate(texts, rng, alphabet=BRACKETS):
         elif op == 2 and k + 1 < len(mutated):
             mutated[k], mutated[k + 1] = mutated[k + 1], mutated[k]
         else:
-            mutated.insert(k, rng.choice(alphabet))
-    return " ".join(mutated)
+            mutated.insert(k, (rng.choice(alphabet), mutated[max(k - 1, 0)][1]))
+    return source_of(mutated)
 
 
-def out_of_range(m):
-    """The metric ranges a parsed class violates, by name."""
+def out_of_range(cls, m):
+    """The line span and metric ranges a parsed class and its metrics
+    violate, by name."""
     bad = []
+    first, last = cls.line_span
+    if not 1 <= first <= last or cls.loc != last - first + 1:
+        bad.append(f"span {cls.line_span} with loc={cls.loc}")
+    if not 0 <= cls.blank_lines <= cls.loc:
+        bad.append(f"{cls.blank_lines} blank lines of {cls.loc}")
     if m.lcom5 is not None and not 0 <= m.lcom5 <= m.k / (m.k - 1):
         bad.append(f"LCOM5 {m.lcom5} with k={m.k}")
     if m.nhd is not None and not 0 <= m.nhd <= 1:
@@ -77,22 +105,20 @@ def sources(which, alphabet="brackets"):
     the mutants of seed ``which`` over an alphabet of ``ALPHABETS``, with
     ``"cuts"`` every token prefix and suffix of every fixture, or with
     ``"fixtures"`` each fixture whole."""
-    from classaudit.javamodel import tokenize
-
     rng = random.Random(which)
     for path in FIXTURES:
         name = path.name
         if which == "fixtures":
             yield name, path.read_text(encoding="utf-8")
             continue
-        texts = tokenize(path.read_text(encoding="utf-8")).texts[:-1]
+        tokens = fixture_tokens(path)
         if which == "cuts":
-            for cut in range(len(texts) + 1):
-                yield f"{name} prefix {cut}", " ".join(texts[:cut])
-                yield f"{name} suffix {cut}", " ".join(texts[cut:])
+            for cut in range(len(tokens) + 1):
+                yield f"{name} prefix {cut}", source_of(tokens[:cut])
+                yield f"{name} suffix {cut}", source_of(tokens[cut:])
         else:
             for k in range(MUTANTS_PER_FIXTURE):
-                yield f"{name} {alphabet} {which}.{k}", mutate(texts, rng, ALPHABETS[alphabet])
+                yield f"{name} {alphabet} {which}.{k}", mutate(tokens, rng, ALPHABETS[alphabet])
 
 
 def walk_classes(name, source):
@@ -115,7 +141,7 @@ def fuzz(which, alphabet="brackets"):
         name = label.split()[0]
         try:
             for cls in walk_classes(name, source):
-                for problem in out_of_range(class_metrics(cls)):
+                for problem in out_of_range(cls, class_metrics(cls)):
                     failures.append(f"{name} {cls.qualified_name}: {problem}\n{source}")
         except (ParseError, RecursionError):
             continue

@@ -80,6 +80,22 @@ def test_local_class_inside_method_is_not_a_unit():
     assert [c.name for c in flat(parse(code))] == ["A"]
 
 
+@pytest.mark.parametrize("code, units", [
+    ("interface I { default void f() { class L { } } class N { } }", ["I.N"]),
+    ("interface I { Object o = new Object() { class L { } }; class N { } }", ["I.N"]),
+    ("enum E { A; void f() { class L { } } class Hidden { } }", ["E.Hidden"]),
+    ("enum E { A { class L { } }, B; class Hidden { } }", ["E.Hidden"]),
+    ("record R(int x) { void f() { class L { } } class N { } }", ["R.N"]),
+    ("@interface M { Class<?> c() default new Object() { class L { } }.getClass(); class N { } }",
+     ["M.N"]),
+], ids=["interface_default_method", "interface_field_initializer", "enum_method",
+        "enum_constant_body", "record_method", "annotation_type_default"])
+def test_local_and_anonymous_classes_in_other_types_are_not_units(code, units):
+    # L is declared in a method body, an initializer or an enum constant's
+    # body, as in a class body it is no unit; the member class beside it is.
+    assert [c.qualified_name for c in flat(parse(code))] == units
+
+
 def test_constructor_excluded_from_methods():
     code = "class A { int x; A(int x) { this.x = x; } int get() { return x; } }"
     a = parse(code)[0]
@@ -270,6 +286,34 @@ def test_class_span_starts_at_its_annotation_however_named(annotation, head, tai
     first = 2 + head.count("\n")
     assert cls.line_span == (first, first + 3)
     assert cls.loc == 4
+
+
+MULTILINE_HEAD_CLASS = """@SuppressWarnings(
+    "unchecked")
+public
+abstract
+non-sealed class C
+        extends B {
+
+    int x;
+}
+"""
+
+
+@pytest.mark.parametrize("head, tail", [
+    ("package p;\n\n", ""),
+    ("class A {\n", "}\n"),
+    ("interface I {\n", "}\n"),
+    ("enum E {\n    X, Y;\n", "}\n"),
+    ("record R(int x) {\n", "}\n"),
+    ("@interface M {\n", "}\n"),
+], ids=["top_level", "in_class", "in_interface", "in_enum", "in_record", "in_annotation_type"])
+def test_class_whose_head_spans_lines_starts_at_its_annotation(head, tail):
+    code = head + MULTILINE_HEAD_CLASS + tail
+    (cls,) = [c for c in flat(parse(code)) if c.name == "C"]
+    first = head.count("\n") + 1
+    assert cls.line_span == (first, first + 8)
+    assert (cls.loc, cls.blank_lines) == (9, 1)
 
 
 @pytest.mark.parametrize("outer", ["class A {", "interface A {", "enum A { X;"],

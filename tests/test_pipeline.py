@@ -27,7 +27,7 @@ from classaudit.pipeline import (
     quantile,
 )
 
-from conftest import child_env, copy_with, field_view
+from conftest import child_env, copy_with, field_view, refuse_listing
 
 
 def record(name="C", label=GroupKind.REST, ncloc=10, lcom5=0.5, nhd=0.5,
@@ -368,6 +368,25 @@ def test_ingest_unclosed_try_resources_does_not_hang(tmp_path):
 def test_ingest_missing_root_fatal(tmp_path):
     with pytest.raises(OSError):
         list(ingest_sources([tmp_path / "nope"]))
+
+
+def test_ingest_root_it_cannot_list_is_fatal(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text("class A { }")
+    refuse_listing(monkeypatch, tmp_path)
+    with pytest.raises(PermissionError):
+        list(ingest_sources([tmp_path]))
+
+
+def test_ingest_skips_a_subdirectory_it_cannot_list(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text("class A { }")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "B.java").write_text("class B { }")
+    refuse_listing(monkeypatch, locked)
+    diag = Diagnostics()
+    assert [r.qualified_name for r in ingest_sources([tmp_path], diagnostics=diag)] == ["A"]
+    assert (diag.files_seen, diag.skipped) == (2, 1)
+    assert diag.lines == [f"SKIP {locked}:0 [Errno 13] Permission denied: '{locked}'"]
 
 
 def test_ingest_non_java_files_ignored(tmp_path):
