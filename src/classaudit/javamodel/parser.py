@@ -138,7 +138,7 @@ class _UnitParser:
                 i += 1
             # _parse_type_decl steps over a type keyword not followed by a name
             if texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
-                i = self._parse_type_decl(i, self.lines[start], prefix, nested)
+                i = self._parse_type_decl(i, end, self.lines[start], prefix, nested)
                 continue
             i, kind_, mname, param_types, param_names, body_span = self._parse_member(
                 i, end, owner)
@@ -154,12 +154,14 @@ class _UnitParser:
             # constructors contribute nothing
         return attributes, raw_methods, has_static
 
-    def _parse_type_decl(self, i: int, first_line: int, prefix: str,
+    def _parse_type_decl(self, i: int, end: int, first_line: int, prefix: str,
                          units: List[SourceClass]) -> int:
-        """Read the type declaration whose keyword is at i; returns the index
-        after it. A ``class`` becomes a unit in ``units``, with the classes
-        declared among its members as its nested units. Any other type is
-        no unit, and the classes among its members go to ``units``."""
+        """Read the type declaration whose keyword is at i, in a range that
+        ends at ``end``; returns the index after it. A ``class`` becomes a
+        unit in ``units``, with the classes declared among its members as
+        its nested units. Any other type is no unit, and the classes among
+        its members go to ``units``. A head with no ``{`` before ``end`` is
+        given up there, or at the end of the file is a ParseError."""
         keyword = self.texts[i]
         name_idx = i + 1
         if self.kinds[name_idx] != IDENT:
@@ -167,14 +169,16 @@ class _UnitParser:
         name = self.texts[name_idx]
         j = name_idx + 1
         # skip type parameters / record header / extends-implements-permits
-        while j < self.n and self.texts[j] != "{":
+        while j < end and self.texts[j] != "{":
             if self.texts[j] == "(":
                 j = self.close_of(j) + 1
                 continue
             if self.texts[j] == ";":  # bodyless declaration
                 return j + 1
             j += 1
-        if j >= self.n:
+        if j >= end:
+            if end < self.n:  # the enclosing body closes first
+                return end
             raise ParseError(self.file_id, self.lines[i], f"missing body for {keyword} {name}")
         body_close = self.close_of(j)
         qualified = f"{prefix}.{name}" if prefix else name

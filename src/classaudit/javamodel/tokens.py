@@ -51,10 +51,10 @@ give ``~stop`` where they cannot read on, for a caller to resume at
 ``split_commas`` count ``<>``, which the table cannot hold, ``<`` being
 also less-than. They differ on a ``<`` that never closes: ``skip_angles``
 stops at the first token that ends a type argument list as an expression
-instead (``NOT_IN_ANGLES``, where a ``{`` stops it paired or not), while
-``split_commas`` must cut every list it is given, so it keeps its own
-counter, which takes a stray ``<`` as one more level: the commas after it
-split nothing.
+or a type declaration instead (``NOT_IN_ANGLES``, where a ``{`` stops it
+paired or not), while ``split_commas`` must cut every list it is given, so
+it keeps its own counter, which takes a stray ``<`` as one more level: the
+commas after it split nothing.
 """
 
 import re
@@ -139,8 +139,10 @@ class _KindOf(dict):
 _KIND = _KindOf({'"': STRING, "'": CHAR})
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
-# Tokens that end a type argument list as an expression instead.
-NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/"})
+# Tokens that end a type argument list as an expression or a type
+# declaration instead.
+NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "/",
+                           "class", "interface", "enum"})
 
 CLOSING = {"(": ")", "[": "]", "{": "}"}
 _OPENING = {close: open_ for open_, close in CLOSING.items()}

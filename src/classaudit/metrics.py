@@ -23,6 +23,7 @@ the pipeline's job.
 """
 
 import math
+from collections import Counter
 from typing import Optional
 
 from ._record import Record
@@ -75,23 +76,24 @@ def lcom5(cls: SourceClass) -> Optional[float]:
 
 
 def nhd(cls: SourceClass) -> Optional[float]:
-    k = len(cls.methods)
-    types = _distinct_parameter_types(cls)
-    l = len(types)
+    return _nhd(len(cls.methods), _type_uses(cls))
+
+
+def _nhd(k: int, uses: Counter) -> Optional[float]:
+    l = len(uses)
     if k < 2 or l == 0:
         return None
-    sigma = 0
-    for t in types:
-        x = sum(1 for m in cls.methods if t in m.parameter_types)
-        sigma += x * (k - x)
+    sigma = sum(x * (k - x) for x in uses.values())
     return 1.0 - (2.0 / (l * k * (k - 1))) * sigma + 0.0
 
 
-def _distinct_parameter_types(cls: SourceClass):
-    seen = set()
+def _type_uses(cls: SourceClass) -> Counter:
+    """For each distinct parameter type, the number of methods with at least
+    one parameter of that type."""
+    uses: Counter = Counter()
     for m in cls.methods:
-        seen.update(m.parameter_types)
-    return seen
+        uses.update(set(m.parameter_types))
+    return uses
 
 
 def method_cc(method: MethodView) -> int:
@@ -110,6 +112,7 @@ def method_coco(method: MethodView) -> int:
 
 def class_metrics(cls: SourceClass) -> ClassMetrics:
     k = len(cls.methods)
+    uses = _type_uses(cls)
     ccs = [method_cc(m) for m in cls.methods]
     cocos = [method_coco(m) for m in cls.methods]
     if k == 0:
@@ -120,7 +123,7 @@ def class_metrics(cls: SourceClass) -> ClassMetrics:
         coco_max = max(cocos)
     return ClassMetrics(
         lcom5=lcom5(cls),
-        nhd=nhd(cls),
+        nhd=_nhd(k, uses),
         cc_total=sum(ccs),
         coco_total=sum(cocos),
         coco_avg=coco_avg,
@@ -128,5 +131,5 @@ def class_metrics(cls: SourceClass) -> ClassMetrics:
         coco_max=coco_max,
         k=k,
         l_attr=len(cls.attributes),
-        l_types=len(_distinct_parameter_types(cls)),
+        l_types=len(uses),
     )

@@ -102,6 +102,12 @@ class Diagnostics(Record):
             stream.write(f"WARN {warning}\n")
 
 
+# Inputs from which a run's second half goes to one forked child: below
+# it the fork and the pickled records cost more than the child saves
+# (CHANGES.md has the measurement).
+_FORK_MIN_FILES = 512
+
+
 def ingest_sources(
     roots: Sequence[Union[str, os.PathLike]],
     rules: SuffixRules = SuffixRules(),
@@ -115,14 +121,29 @@ def ingest_sources(
     recursive walk, and any other exception raised while analyzing one file
     are tallied in diagnostics, as one input each, and skipped. Traversal
     order is sorted, so the record stream is deterministic.
+
+    With at least ``_FORK_MIN_FILES`` inputs, two CPUs to run on and no
+    other thread, one forked child analyzes the second half of the inputs
+    while this process analyzes the first; records and diagnostics are
+    those of a serial run, in the same order.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
+    inputs = _list_sources(roots)
+    if len(inputs) >= _FORK_MIN_FILES and _two_cpus_one_thread():
+        yield from _analyze_forked(inputs, rules, excluded_to, diag)
+    else:
+        yield from _analyze(inputs, rules, excluded_to, diag)
+
+
+def _list_sources(roots) -> List[Union[str, OSError]]:
+    """The .java paths under the roots in sorted walk order, with the error
+    of each subdirectory that cannot be listed where the walk met it."""
+    inputs: List[Union[str, OSError]] = []
 
     def unlisted(exc: OSError):
         if exc.filename == root:  # os.walk lists the root by the name given
             raise exc
-        diag.files_seen += 1
-        diag.skip(exc.filename, 0, str(exc))
+        inputs.append(exc)
 
     for root in roots:
         root = os.fspath(root)
@@ -130,38 +151,111 @@ def ingest_sources(
             raise FileNotFoundError(f"input root is not a directory: {root}")
         for dirpath, dirnames, filenames in os.walk(root, onerror=unlisted):
             dirnames.sort()
-            for fname in sorted(filenames):
-                if not fname.endswith(".java"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                diag.files_seen += 1
-                try:
-                    text = _read_text(path)
-                    classes = parse_compilation_unit(text, path)
-                    records = [
-                        ClassRecord(
-                            qualified_name=cls.qualified_name,
-                            origin=path,
-                            metrics=class_metrics(cls),
-                            loc=cls.loc,
-                            blank_lines=cls.blank_lines,
-                            label=classify(cls.name, cls.has_static_member, rules, excluded_to),
-                        )
-                        for cls in _flatten(classes)
-                    ]
-                except ParseError as exc:
-                    diag.skip(path, exc.line, exc.message)
-                    continue
-                except (OSError, UnicodeDecodeError) as exc:
-                    diag.skip(path, 0, str(exc))
-                    continue
-                except RecursionError:
-                    diag.skip(path, 0, "nesting too deep")
-                    continue
-                except Exception as exc:
-                    diag.error(path, exc)
-                    continue
-                yield from records
+            inputs.extend(os.path.join(dirpath, fname) for fname in sorted(filenames)
+                          if fname.endswith(".java"))
+    return inputs
+
+
+def _analyze(inputs, rules: SuffixRules, excluded_to: str,
+             diag: Diagnostics) -> Iterator[ClassRecord]:
+    """The records of each input in turn; each input is one seen, and one
+    that cannot be analyzed is one skipped."""
+    for path in inputs:
+        diag.files_seen += 1
+        if isinstance(path, OSError):  # a subdirectory that cannot be listed
+            diag.skip(path.filename, 0, str(path))
+            continue
+        try:
+            text = _read_text(path)
+            classes = parse_compilation_unit(text, path)
+            records = [
+                ClassRecord(
+                    qualified_name=cls.qualified_name,
+                    origin=path,
+                    metrics=class_metrics(cls),
+                    loc=cls.loc,
+                    blank_lines=cls.blank_lines,
+                    label=classify(cls.name, cls.has_static_member, rules, excluded_to),
+                )
+                for cls in _flatten(classes)
+            ]
+        except ParseError as exc:
+            diag.skip(path, exc.line, exc.message)
+            continue
+        except (OSError, UnicodeDecodeError) as exc:
+            diag.skip(path, 0, str(exc))
+            continue
+        except RecursionError:
+            diag.skip(path, 0, "nesting too deep")
+            continue
+        except Exception as exc:
+            diag.error(path, exc)
+            continue
+        yield from records
+
+
+def _two_cpus_one_thread() -> bool:
+    """Whether a forked child would have a CPU of its own, and no other
+    thread's lock could be held forever in it."""
+    import threading
+
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _analyze_forked(inputs, rules: SuffixRules, excluded_to: str,
+                    diag: Diagnostics) -> Iterator[ClassRecord]:
+    """``_analyze`` of the inputs, the second half in one forked child,
+    which sends its records and diagnostics back in one pickle. This
+    process yields its own half as it goes, then the child's. If the child
+    fails, this process analyzes that half itself; if the generator is
+    closed or raises first, the child is killed."""
+    import pickle  # only a forked run sends records between processes
+    import signal
+
+    half = len(inputs) // 2
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the run goes on in this one
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from _analyze(inputs, rules, excluded_to, diag)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            part = Diagnostics()
+            records = list(_analyze(inputs[half:], rules, excluded_to, part))
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((records, part.files_seen, part.skipped, part.lines), pipe,
+                            pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)  # no atexit hooks, no flush of inherited buffers
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            yield from _analyze(inputs[:half], rules, excluded_to, diag)
+            try:
+                records, files_seen, skipped, lines = pickle.load(pipe)
+            except (EOFError, OSError, pickle.UnpicklingError):  # the child failed
+                records = None
+        # The pipe is closed, so a child still writing fails and exits.
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if records is None or status != 0:
+            yield from _analyze(inputs[half:], rules, excluded_to, diag)
+            return
+        diag.files_seen += files_seen
+        diag.skipped += skipped
+        diag.lines.extend(lines)
+        yield from records
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _read_text(path: str) -> str:

@@ -90,6 +90,42 @@ def refuse_listing(monkeypatch, directory):
     monkeypatch.setattr(os, "scandir", guarded)
 
 
+def fixture_copies(directory, count):
+    """Write ``count`` copies of the fixtures' .java files to ``directory``,
+    taken in turn and numbered so that they list in the order written."""
+    sources = sorted(FIXTURES.rglob("*.java"))
+    directory.mkdir(parents=True, exist_ok=True)
+    for i in range(count):
+        source = sources[i % len(sources)]
+        (directory / f"{i:04d}{source.name}").write_bytes(source.read_bytes())
+
+
+def count_forks(monkeypatch) -> list:
+    """Record each ``os.fork`` call in the returned list, and give the run two
+    CPUs, so that a large enough ingest forks on any host."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return forks
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process, running or a zombie."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
+from classaudit import pipeline
 from classaudit.cli import RunConfig, config_from_args, main, run
 
-from conftest import child_env, refuse_listing
+from conftest import child_env, fixture_copies, refuse_listing
 
 
 def run_cli(argv):
@@ -211,6 +212,35 @@ def test_installed_entry_point(corpus_dir, tmp_path):
     )
     assert result.returncode == 0
     assert "Group sizes" in result.stdout
+
+
+def test_forked_run_with_stdout_piped_prints_one_report(tmp_path, monkeypatch):
+    # The text printed before the run sits in the stdout buffer when the
+    # ingest forks. A child that flushed the buffers it inherited would
+    # print it twice. The child is given two CPUs on any host, and the
+    # number of forks goes to stderr.
+    fixture_copies(tmp_path, pipeline._FORK_MIN_FILES)
+    script = (
+        "import os, sys\n"
+        "from classaudit import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('before the run')\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('forks', len(forks), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["--mode=source", f"--input={tmp_path}", "--format=json"]
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                            text=True, env=child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "forks 1"
+    first, report = result.stdout.split("\n", 1)
+    assert first == "before the run"
+    assert json.loads(report)["pipeline"]["input"] > pipeline._FORK_MIN_FILES
+    monkeypatch.setattr(pipeline, "_FORK_MIN_FILES", 10 ** 9)
+    assert run_cli(argv)[:2] == (0, report)
 
 
 def test_main_rejects_unknown_format(corpus_dir, capsys):

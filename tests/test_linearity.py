@@ -88,6 +88,7 @@ SHAPES = {
     "parameters": (members(
         "    void m{i}(final @A java.util.@B List<@C String> a, int @D [] b, String... c) {{ }}\n"),
         200),
+    "methods of distinct parameter types": (members("    void m{i}(T{i} a) {{ }}\n"), 200),
     "locals": (members(
         "    void m{i}() {{ Outer<T>.Inner x = null; java.util.@N List y = x; f = y; }}\n"), 200),
 }

@@ -364,3 +364,31 @@ def test_member_scan_after_an_unclosed_angle_is_linear():
 def test_two_top_level_classes():
     classes = parse("class A { }\nclass B { }")
     assert [c.name for c in classes] == ["A", "B"]
+
+
+@pytest.mark.parametrize("keyword", ["class", "interface", "enum"])
+def test_member_type_with_no_body_keeps_to_its_enclosing_body(keyword):
+    # B's head is read for its `{` up to the end of A's body only: reading
+    # on took C's body for B's, and C's members were counted twice.
+    units = flat(parse(f"class A {{ {keyword} B }}\nclass C {{ int x; }}"))
+    assert [(c.qualified_name, c.attributes, c.line_span) for c in units] == [
+        ("A", [], (1, 1)), ("C", ["x"], (2, 2))]
+
+
+def test_top_level_type_with_no_body_is_a_parse_error():
+    with pytest.raises(ParseError, match="missing body for class B"):
+        parse("class A { }\nclass B")
+
+
+@pytest.mark.parametrize("code, units", [
+    ("class A { int y; < class B { int z; } }", [("A", ["y"]), ("A.B", ["z"])]),
+    ("class A { int y; List< interface I { class D { int w; } } }",
+     [("A", ["y"]), ("A.I.D", ["w"])]),
+    ("class A { < enum E { X; class F { int v; } } int y; }", [("A", ["y"]), ("A.E.F", ["v"])]),
+    ("< class A { int y; }", [("A", ["y"])]),
+], ids=["class", "interface", "enum", "top_level"])
+def test_stray_angle_before_a_type_declaration_loses_no_class(code, units):
+    # A type argument list never holds a type keyword, so the scan of the
+    # unclosed `<` ends there and the member loop reads the declaration,
+    # where it jumped the declared type's body as an initializer block.
+    assert [(c.qualified_name, c.attributes) for c in flat(parse(code))] == units

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from classaudit.pipeline import (
     quantile,
 )
 
-from conftest import child_env, copy_with, field_view, refuse_listing
+from conftest import (child_env, copy_with, count_forks, field_view, fixture_copies,
+                      refuse_listing)
 
 
 def record(name="C", label=GroupKind.REST, ncloc=10, lcom5=0.5, nhd=0.5,
@@ -392,6 +394,116 @@ def test_ingest_skips_a_subdirectory_it_cannot_list(tmp_path, monkeypatch):
 def test_ingest_non_java_files_ignored(tmp_path):
     (tmp_path / "notes.txt").write_text("class NotJava {}")
     assert list(ingest_sources([tmp_path])) == []
+
+
+# ---- ingest_sources in two processes ------------------------------------------------
+
+def two_halves(root, monkeypatch):
+    """A tree of ``_FORK_MIN_FILES`` inputs or more, in two halves ``a`` and
+    ``b``. Each holds fixture copies, then a file the parser rejects, one
+    whose analysis raises, one that is not UTF-8 and a subdirectory that
+    cannot be listed."""
+    per_half = pipeline._FORK_MIN_FILES // 2 + 1
+    for half in ("a", "b"):
+        part = root / half
+        fixture_copies(part, per_half - 4)
+        (part / "Bad.java").write_text('class Bad { String s = "unterminated; }')
+        (part / "Boom.java").write_text("class Boom { }")
+        (part / "Latin1.java").write_bytes(b"class Latin1 { char c = '\xe9'; }")
+        (part / "locked").mkdir()
+        (part / "locked" / "Hidden.java").write_text("class Hidden { }")
+        refuse_listing(monkeypatch, part / "locked")
+    real_parse = pipeline.parse_compilation_unit
+
+    def parse_failing_on_boom(text, path):
+        if path.endswith("Boom.java"):
+            raise ValueError("boom")
+        return real_parse(text, path)
+
+    monkeypatch.setattr(pipeline, "parse_compilation_unit", parse_failing_on_boom)
+    return root
+
+
+def ingest(root):
+    diag = Diagnostics()
+    return list(ingest_sources([root], diagnostics=diag)), field_view(diag)
+
+
+def serial_ingest(root, monkeypatch):
+    threshold = pipeline._FORK_MIN_FILES
+    monkeypatch.setattr(pipeline, "_FORK_MIN_FILES", 10 ** 9)  # above any tree here
+    try:
+        return ingest(root)
+    finally:
+        monkeypatch.setattr(pipeline, "_FORK_MIN_FILES", threshold)
+
+
+def test_forked_ingest_equals_a_serial_one(tmp_path, monkeypatch):
+    root = two_halves(tmp_path, monkeypatch)
+    forks = count_forks(monkeypatch)
+    forked = ingest(root)
+    assert len(forks) == 1
+    serial = serial_ingest(root, monkeypatch)
+    assert len(forks) == 1
+    assert forked == serial
+    records, diag = serial
+    assert len(records) > pipeline._FORK_MIN_FILES
+    assert (diag["files_seen"], diag["skipped"]) == (pipeline._FORK_MIN_FILES + 2, 8)
+    assert [(line.split()[0], os.path.relpath(line.split()[1].rsplit(":", 1)[0], root))
+            for line in diag["lines"]] == [
+        (kind, os.path.join(half, name)) for half in ("a", "b") for kind, name in
+        (("SKIP", "Bad.java"), ("ERROR", "Boom.java"), ("SKIP", "Latin1.java"),
+         ("SKIP", "locked"))]
+
+
+def test_closing_a_forked_ingest_leaves_no_child(tmp_path, monkeypatch):
+    root = two_halves(tmp_path, monkeypatch)
+    forks = count_forks(monkeypatch)
+    records = ingest_sources([root])
+    next(records)
+    records.close()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_half_of_a_child_that_fails_is_analyzed_by_the_parent(tmp_path, monkeypatch):
+    import pickle
+
+    root = two_halves(tmp_path, monkeypatch)
+    serial = serial_ingest(root, monkeypatch)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(1))  # only the child dumps
+    assert ingest(root) == serial
+    assert len(forks) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_forked_ingest_raises_no_warning(tmp_path, monkeypatch):
+    # Python 3.12 and later raise a DeprecationWarning on a fork in a
+    # process with more than one thread.
+    fixture_copies(tmp_path, pipeline._FORK_MIN_FILES)
+    forks = count_forks(monkeypatch)
+    assert len(list(ingest_sources([tmp_path]))) > pipeline._FORK_MIN_FILES
+    assert len(forks) == 1
+
+
+def test_ingest_below_the_threshold_or_beside_a_thread_stays_in_one_process(
+    tmp_path, monkeypatch
+):
+    fixture_copies(tmp_path, pipeline._FORK_MIN_FILES - 1)
+    forks = count_forks(monkeypatch)
+    records = list(ingest_sources([tmp_path]))
+    fixture_copies(tmp_path / "more", 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(list(ingest_sources([tmp_path]))) > len(records)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
 
 
 # ---- ingest_cam_csv ---------------------------------------------------------------------

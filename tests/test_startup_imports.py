@@ -3,8 +3,9 @@
 A fresh interpreter's start-up is most of a small audit, so modules that
 only some runs use are imported where those runs use them: ``json`` when a
 ``--cam-map`` is read or ``--format=json`` is written, ``csv`` when a CAM
-CSV is read. The records are plain slotted classes, so ``dataclasses`` (and
-``inspect``, which it imports) is not loaded at all.
+CSV is read, ``pickle`` when a large source ingest forks. The records are
+plain slotted classes, so ``dataclasses`` (and ``inspect``, which it
+imports) is not loaded at all.
 """
 
 import json
@@ -13,7 +14,7 @@ import sys
 
 from conftest import child_env
 
-DEFERRED = {"dataclasses", "inspect", "json", "csv"}
+DEFERRED = {"dataclasses", "inspect", "json", "csv", "pickle"}
 
 
 def run_child(args, **kwargs):
