@@ -59,7 +59,7 @@ from .model import (
     EVENT_TERNARY,
     Event,
 )
-from .tokens import IDENT, PRIMITIVE_TYPES, Tokens
+from .tokens import PRIMITIVE_TYPES, Tokens
 
 # Identifier may not be an access when directly preceded by one of these.
 _QUALIFIER_PREV = frozenset({".", "::", "new", "@", "instanceof"})
@@ -102,7 +102,7 @@ class _BodyWalker:
     def __init__(self, span, tokens, attr_names, param_names, method_name):
         self.toks = tokens
         self.texts = tokens.texts
-        self.kinds = tokens.kinds
+        self.idents = tokens.idents
         self.match = tokens.match
         self.i = span.start
         self.start = span.start
@@ -173,7 +173,7 @@ class _BodyWalker:
         return True
 
     def parse_statement(self, depth: int):
-        texts, kinds = self.texts, self.kinds
+        texts, idents = self.texts, self.idents
         i = self.i
         t = texts[i]
         if t == ";":
@@ -221,7 +221,7 @@ class _BodyWalker:
             return
         if t in ("break", "continue"):
             i += 1
-            if kinds[i] == IDENT and texts[i] not in ("case", "default"):
+            if idents[i] is not None and texts[i] not in ("case", "default"):
                 i += 1  # jump label, never an attribute access
             self.i = i
             self.eat_if(";")
@@ -237,7 +237,7 @@ class _BodyWalker:
         if t == "@":
             self.i = self.toks.skip_annotation(i, self.end)
             return
-        if kinds[i] == IDENT and texts[i + 1] == ":" and texts[i + 2] != ":":
+        if idents[i] is not None and texts[i + 1] == ":" and texts[i + 2] != ":":
             self.i = i + 2  # statement label such as `outer:`
             return
         # declaration or expression statement
@@ -338,7 +338,7 @@ class _BodyWalker:
         self.parse_expr(_CASE_LABEL, depth)
 
     def parse_try(self, depth: int):
-        texts, kinds, end = self.texts, self.kinds, self.end
+        texts, idents, end = self.texts, self.idents, self.end
         self.i += 1  # 'try'
         has_resources = self.eat_if("(")
         if has_resources:
@@ -360,7 +360,7 @@ class _BodyWalker:
             if self.eat_if("("):
                 i = self.i
                 while i < end and texts[i] != ")":
-                    if kinds[i] == IDENT:
+                    if idents[i] is not None:
                         names = (texts[i],)
                     i += 1
                 self.i = i
@@ -395,14 +395,14 @@ class _BodyWalker:
         and so is a ternary's last operand, which continues the loop one
         level deeper (a ternary chain needs no recursion) up to a ','.
         """
-        texts, kinds, end = self.texts, self.kinds, self.end
+        texts, idents, end = self.texts, self.idents, self.end
         last_bool = None
         resume = None  # (stop, depth) that a ',' after a ternary goes back to
         while self.i < end:
             i = self.i
             t = texts[i]
             if t not in _EXPR_SPECIAL and t not in stop:
-                if kinds[i] == IDENT:
+                if idents[i] is not None:
                     self._expr_ident(depth, stop)
                 else:
                     self.i = i + 1
@@ -464,7 +464,7 @@ class _BodyWalker:
         i = self.i
         name = texts[i]
         nxt = texts[i + 1]
-        if nxt == "." and name == "this" and self.kinds[i + 2] == IDENT:
+        if nxt == "." and name == "this" and self.idents[i + 2] is not None:
             member = texts[i + 2]
             if texts[i + 3] == "(":
                 if member == self.method_name:
@@ -503,9 +503,9 @@ class _BodyWalker:
             return False
         params = []
         for item in self.toks.split_commas(self.i + 1, close):
-            idents = [j for j in item if self.kinds[j] == IDENT]
-            if idents:
-                params.append(self.texts[idents[-1]])
+            names = [j for j in item if self.idents[j] is not None]
+            if names:
+                params.append(self.texts[names[-1]])
         self.i = close + 2  # past ')' and '->'
         self._lambda_body(depth, stop, params)
         return True
@@ -528,7 +528,7 @@ class _BodyWalker:
         if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
             self._bind_components(i, scope)
             self.i = self.match[i] + 1
-        elif self.kinds[i] == IDENT:  # type pattern
+        elif self.idents[i] is not None:  # type pattern
             scope.add(texts[i])
             self.i = i + 1
         else:
@@ -539,14 +539,14 @@ class _BodyWalker:
         """Add to ``scope`` the bindings of the record pattern whose '(' is
         at ``open_``, paired inside the body: each component's last
         identifier, or a nested record pattern's own bindings."""
-        texts, kinds = self.texts, self.kinds
+        texts, idents = self.texts, self.idents
         for item in self.toks.split_commas(open_ + 1, self.match[open_]):
             name = ""
             for j in item:
                 if texts[j] == "(":
                     self._bind_components(j, scope)
                     break
-                if kinds[j] == IDENT:
+                if idents[j] is not None:
                     name = texts[j]
             else:
                 if name:
@@ -560,16 +560,16 @@ class _BodyWalker:
         On success the cursor rests on the terminator (not consumed) and all
         declarator names are in scope. On failure the cursor is untouched.
         """
-        texts, kinds = self.texts, self.kinds
+        texts, idents = self.texts, self.idents
         i = self.toks.read_type(self.i, self.end)
-        if i < 0 or kinds[i] != IDENT or texts[i] in PRIMITIVE_TYPES:
+        if i < 0 or idents[i] is None or texts[i] in PRIMITIVE_TYPES:
             return False
         nxt = texts[i + 1]
         if not (nxt in terminators or nxt == "=" or nxt == ","
                 or (nxt == "[" and texts[i + 2] == "]")):
             return False
         stops = set(terminators) | {","}
-        while kinds[i] == IDENT:  # a declarator: name, dimensions, initializer
+        while idents[i] is not None:  # a declarator: name, dimensions, initializer
             self.scopes[-1].add(texts[i])
             i += 1
             while texts[i] == "[" and texts[i + 1] == "]":

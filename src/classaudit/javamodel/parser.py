@@ -13,10 +13,12 @@ starts where the loop starts reading its declaration, at its first
 annotation or modifier.
 
 Each file is tokenized, with its bracket table, and its blank lines are
-counted, as a running count, once. Token lists are indexed directly (their
-``""`` sentinel is read past either end), bracket extents are table
-lookups, parameter lists are cut by ``Tokens.split_commas``, and each
-method body goes to the walker as an index range of the lists. Annotations,
+counted, as a running count, once. A class's first and last lines are
+asked of ``Tokens.line`` in source order, which counts each file's
+newlines once. Token lists are indexed directly (their ``""`` and ``None``
+sentinels are read past either end), bracket extents are table lookups,
+parameter lists are cut by ``Tokens.split_commas``, and each method body
+goes to the walker as an index range of the lists. Annotations,
 types and type declarations are read by the rules the walker reads them by,
 the ``Tokens`` methods. Members are read forward, ``[type parameters]
 [type] name`` then ``(`` or the declarators, and one that cannot be read is
@@ -30,7 +32,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
 from .model import Event, MethodView, SourceClass
-from .tokens import _TYPE_KEYWORDS, CLOSING, IDENT, MODIFIER_WORDS, Tokens, tokenize
+from .tokens import _TYPE_KEYWORDS, CLOSING, MODIFIER_WORDS, Tokens, tokenize
 
 
 def count_loc_and_blank(blank_before: Sequence[int],
@@ -63,8 +65,8 @@ class _UnitParser:
         self.toks = tokens
         self.n = len(tokens)
         self.texts = tokens.texts
-        self.kinds = tokens.kinds
-        self.lines = tokens.lines
+        self.idents = tokens.idents
+        self.line = tokens.line
         self.match = tokens.match
         lines = source_text.split("\n")
         if source_text.endswith("\n"):
@@ -80,7 +82,7 @@ class _UnitParser:
         j = self.match[i]
         if j < 0:
             t = self.texts[i]
-            raise ParseError(self.file_id, self.lines[i], f"unbalanced {t}{CLOSING[t]}")
+            raise ParseError(self.file_id, self.line(i), f"unbalanced {t}{CLOSING[t]}")
         return j
 
     # ---- top level and type bodies ----------------------------------------
@@ -138,7 +140,7 @@ class _UnitParser:
                 i += 1
             # _parse_type_decl steps over a type keyword not followed by a name
             if texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
-                i = self._parse_type_decl(i, end, self.lines[start], prefix, nested)
+                i = self._parse_type_decl(i, end, self.line(start), prefix, nested)
                 continue
             i, kind_, mname, param_types, param_names, body_span = self._parse_member(
                 i, end, owner)
@@ -164,7 +166,7 @@ class _UnitParser:
         given up there, or at the end of the file is a ParseError."""
         keyword = self.texts[i]
         name_idx = i + 1
-        if self.kinds[name_idx] != IDENT:
+        if self.idents[name_idx] is None:
             return i + 1
         name = self.texts[name_idx]
         j = name_idx + 1
@@ -179,7 +181,7 @@ class _UnitParser:
         if j >= end:
             if end < self.n:  # the enclosing body closes first
                 return end
-            raise ParseError(self.file_id, self.lines[i], f"missing body for {keyword} {name}")
+            raise ParseError(self.file_id, self.line(i), f"missing body for {keyword} {name}")
         body_close = self.close_of(j)
         qualified = f"{prefix}.{name}" if prefix else name
         if keyword != "class":
@@ -206,7 +208,7 @@ class _UnitParser:
                 )
             )
 
-        last_line = self.lines[body_close]
+        last_line = self.line(body_close)
         loc, blank = count_loc_and_blank(self.blank_before, (first_line, last_line))
         units.append(SourceClass(
             name=name,
@@ -236,7 +238,7 @@ class _UnitParser:
             return (max(~j, i + 1), None, "", [], [], (0, 0))
         if texts[j] == "(" and j == head + 1:  # a name with no return type
             return self._parse_callable(head, j, end, class_name, False)
-        if self.kinds[j] != IDENT:  # j may be the sentinel, at the stream's end
+        if self.idents[j] is None:  # j may be the sentinel, at the stream's end
             return (j, None, "", [], [], (0, 0))
         k = j + 1
         while texts[k] == "[" and texts[k + 1] == "]":
@@ -259,7 +261,7 @@ class _UnitParser:
                 continue
             if t == ",":
                 i += 1
-                if self.kinds[i] == IDENT:
+                if self.idents[i] is not None:
                     names.append(self.texts[i])
                     i += 1
                 continue
@@ -312,7 +314,7 @@ class _UnitParser:
         type's text drops the ``final`` and every annotation."""
         texts, toks = self.texts, self.toks
         j = toks.read_type(i, end)
-        if j < 0 or self.kinds[j] != IDENT or texts[j] == "this":
+        if j < 0 or self.idents[j] is None or texts[j] == "this":
             return None  # no type, or not a name
         k = j + 1
         while texts[k] == "[" and texts[k + 1] == "]":

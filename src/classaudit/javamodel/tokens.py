@@ -1,40 +1,50 @@
 """Lexer for Java source text.
 
-``tokenize`` gives one file's tokens as parallel ``texts``, ``kinds`` and
-``lines`` lists (comments and whitespace removed, 1-based source lines).
-String/char literals are kept as single tokens so that braces or keywords
-inside them can never confuse the structural passes. Generic angle
-brackets are emitted as single ``<`` and ``>`` tokens (never ``>>``),
-which keeps nested type arguments balanced; the shift operators nothing
-downstream cares about are simply split. ``texts`` and ``kinds`` end in a
-``""`` sentinel, so reading one past either end (index n, or -1) needs no
-bounds check.
+``tokenize`` gives one file's tokens as a ``Tokens``: their ``texts``
+(comments and whitespace removed), ``idents``, which marks the identifiers
+(keywords included), and ``match``, the bracket table. String/char literals
+are kept as single tokens so that braces or keywords inside them can never
+confuse the structural passes. Generic angle brackets are emitted as single
+``<`` and ``>`` tokens (never ``>>``), which keeps nested type arguments
+balanced; the shift operators nothing downstream cares about are simply
+split. ``texts`` and ``idents`` end in a sentinel, ``""`` and ``None``, so
+reading one past either end (index n, or -1) needs no bounds check.
 
 The whole file is scanned once, by ``split`` with one compiled pattern of
-two groups, the skipped text and one token, and the lists are built from
-the result by slices and ``map``, so no Python code runs per token. The
-skip takes every blank, newline and closed comment, comments that span
-lines included; the token group matches wherever that greedy skip stops,
-at a non-blank or at ``\\Z``, so the scan never backtracks into skipped
-text, which keeps it linear without the possessive quantifiers ``re`` has
-only from Python 3.11. The split reads ``["", skip0, token0, "", skip1,
-token1, ...]``: every third piece from the third is a token, up to the
-first ``\\Z`` match, which is the sentinel (skipped text at the end gives
-a second one). A token's line is one plus the newlines skipped up to it, one
-``str.count`` per token. That misses only the newlines inside tokens (a
-text block, or a string with a ``\\``-newline), so when the text holds more
-newlines than were skipped, the lines are counted again with each token's
-own. A token's kind comes from its first character. An unterminated
-comment, text block, string or char literal matches as one token running
-to the end of the text, so it can only be the last token, and matching
-that one against its closed form finds it.
+four groups: the skipped text, one token, and two marks inside the token,
+the first character of an identifier and a bracket. The lists are slices of
+the result, so no Python code runs per token of an ASCII text. The skip
+takes every blank, newline and closed comment, comments that span lines
+included; the token group matches wherever that greedy skip stops, at a
+non-blank or at ``\\Z``, so the scan never backtracks into skipped text,
+which keeps it linear without the possessive quantifiers ``re`` has only
+from Python 3.11. The split reads ``["", skip0, token0, ident0, bracket0,
+"", skip1, ...]``: every fifth piece from the third is a token, up to the
+first ``\\Z`` match, which is the sentinel (skipped text at the end gives a
+second one), and a mark is ``None`` where its group took no part. An
+identifier starts with a letter (``str.isalpha``), ``_`` or ``$``; the
+pattern's identifier branch starts at any word character but a decimal
+digit, such as ``½`` or ``²`` too, so the marks of a text that is not ASCII
+are checked one by one. An unterminated comment, text block, string or char
+literal matches as one token running to the end of the text, so it can
+only be the last token, and matching that one against its closed form finds
+it.
+
+The skipped texts are kept, one before each token and the sentinel, and a
+token's 1-based line is found only when asked for, by ``Tokens.line``: one
+plus the newlines in the skipped texts up to it and in the tokens before it
+(a text block, or a string with a ``\\``-newline, holds some). The parser
+asks for few lines, in source order: a class's first and last, and a
+``ParseError``'s. So ``line`` counts on from the token it was last asked
+about, and from the first token only when asked about an earlier one; the
+lines of a whole file, asked for in order, cost one pass over it.
 
 ``match_brackets`` pairs the ``()``, ``[]`` and ``{}`` tokens of a stream
-in one pass, once per file; the parser and the body walker find the extent
-of every such group in that table, by one lookup. Over a range of the
-stream, a partner outside it read as -1, the file's table equals the
-range's own: a closer pairs with the innermost open bracket of its kind,
-which is inside the range whenever one there is open.
+in one pass over the brackets alone, once per file; the parser and the body
+walker find the extent of every such group in that table, by one lookup.
+Over a range of the stream, a partner outside it read as -1, the file's
+table equals the range's own: a closer pairs with the innermost open
+bracket of its kind, which is inside the range whenever one there is open.
 
 The parser and the body walker share the token-level rules on ``Tokens``:
 ``skip_annotation`` skips ``@a.b.C(...)``, ``skip_angles`` a balanced
@@ -58,18 +68,10 @@ commas after it split nothing.
 """
 
 import re
-from itertools import accumulate, chain, islice, repeat
-from operator import add, itemgetter
-from typing import List, Sequence
+from itertools import compress, islice
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import ParseError
-
-IDENT = "ident"
-NUMBER = "number"
-STRING = "string"
-CHAR = "char"
-OP = "op"
-
 
 MODIFIER_WORDS = frozenset(
     """public protected private static final abstract synchronized native
@@ -99,14 +101,19 @@ _SKIP = r"\s*(?:(?://[^\n]*|" + _CLOSED["/*"] + r")\s*)*"
 # The skipped text, then one token. The token group must match wherever the
 # skip stops (a non-blank, or ``\Z`` at the end of the text), or the skip
 # would be backtracked. A ``/*`` there is one the skip found no close for;
-# it, and a literal not closed, runs to the end of the text.
+# it, and a literal not closed, runs to the end of the text. Two groups in
+# the token mark it, each by one character, so no identifier is copied: an
+# identifier's first, and a bracket. The most frequent tokens are tried
+# first, and those of one character before the operators of two.
 _LEXEME = re.compile(
-    f"({_SKIP})(" + r"/\*(?s:.*)|"
-    + "|".join(f"{_CLOSED[opener]}|{re.escape(opener)}(?s:.*)"
-               for opener in ('"""', '"', "'"))
-    + r"""
+    f"({_SKIP})(" + r"""
+        ([^\W\d]|\$)[\w$]*                       # identifier
+      | ([(){}[\]])                              # bracket
+      | [;,@?~]                                  # starts no longer token
+      | /\*(?s:.*)
+      | """ + "|".join(f"{_CLOSED[opener]}|{re.escape(opener)}(?s:.*)"
+                       for opener in ('"""', '"', "'")) + r"""
       | \d\w*(?:\.(?=\d)\w*)*                    # number
-      | (?:[^\W\d]|\$)[\w$]*                     # identifier
       | \.\.\.
       | """ + "|".join(map(re.escape, _TWO_CHAR_OPS)) + r"""
       | \S
@@ -122,22 +129,6 @@ _UNTERMINATED_MESSAGE = {
 }
 
 
-class _KindOf(dict):
-    """Token kind by a lexeme's first character, filled in on first use."""
-
-    def __missing__(self, ch: str) -> str:
-        if ch.isdigit():
-            kind = NUMBER
-        elif ch.isalpha() or ch in "_$":
-            kind = IDENT
-        else:
-            kind = OP
-        self[ch] = kind
-        return kind
-
-
-_KIND = _KindOf({'"': STRING, "'": CHAR})
-
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 # Tokens that end a type argument list as an expression or a type
 # declaration instead.
@@ -146,7 +137,6 @@ NOT_IN_ANGLES = frozenset({";", "{", "}", ")", "(", "&&", "||", "+", "-", "*", "
 
 CLOSING = {"(": ")", "[": "]", "{": "}"}
 _OPENING = {close: open_ for open_, close in CLOSING.items()}
-_BRACKETS = frozenset(CLOSING) | frozenset(_OPENING)
 
 
 def _unclosed_opener(lexeme: str) -> str:
@@ -158,26 +148,42 @@ def _unclosed_opener(lexeme: str) -> str:
 
 
 class Tokens:
-    """One file's tokens: ``texts``/``kinds`` (sentinel-ended), ``lines``,
-    and ``match``, the bracket table of ``texts``. ``len()`` counts tokens."""
+    """One file's tokens: ``texts`` and ``idents`` (sentinel-ended),
+    ``skipped``, the text before each token and the sentinel, and ``match``,
+    the bracket table of ``texts``, paired from ``brackets`` (true at the
+    bracket tokens). ``len()`` counts tokens."""
 
-    def __init__(self, texts: List[str], kinds: List[str], lines: List[int]):
+    def __init__(self, texts: List[str], idents: List[Optional[str]], skipped: List[str],
+                 brackets: Iterable):
         self.texts = texts
-        self.kinds = kinds
-        self.lines = lines
-        self.match = match_brackets(texts)
+        self.idents = idents
+        self.skipped = skipped
+        self.match = match_brackets(texts, brackets)
+        self._cursor = (0, 1)  # a token index, and the line its skipped text starts on
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.texts) - 1
+
+    def line(self, i: int) -> int:
+        """The 1-based source line of token i (or of the sentinel): counted on
+        from the last token asked about, or from the first, for an earlier
+        one."""
+        at, line = self._cursor
+        if i < at:
+            at, line = 0, 1
+        line += ("".join(self.skipped[at:i]).count("\n")
+                 + "".join(self.texts[at:i]).count("\n"))
+        self._cursor = (i, line)
+        return line + self.skipped[i].count("\n")
 
     def skip_annotation(self, i: int, end: int) -> int:
         """At '@': the index past the annotation, its dotted name
         ``a.b.C`` and that name's ``(...)`` arguments, at most ``end``."""
-        texts, kinds = self.texts, self.kinds
+        texts, idents = self.texts, self.idents
         i += 1
-        if kinds[i] == IDENT:
+        if idents[i] is not None:
             i += 1
-            while texts[i] == "." and kinds[i + 1] == IDENT:
+            while texts[i] == "." and idents[i + 1] is not None:
                 i += 2
         if texts[i] == "(" and self.match[i] > i:
             i = self.match[i] + 1
@@ -209,11 +215,11 @@ class Tokens:
         """At a type, or the annotations and ``final`` before it: the index
         past it, at most ``end``; ``~stop`` when no type can be read, ``stop``
         being where reading stopped."""
-        texts, kinds = self.texts, self.kinds
+        texts, idents = self.texts, self.idents
         while True:  # a dotted name
             while (texts[i] == "@" or texts[i] == "final") and i < end:
                 i = self.skip_annotation(i, end) if texts[i] == "@" else i + 1
-            if kinds[i] != IDENT or i >= end:
+            if idents[i] is None or i >= end:
                 return ~i
             i += 1
             if texts[i] == "<":
@@ -236,8 +242,8 @@ class Tokens:
         name), or a record's (``record Name (``), starts at i."""
         t = self.texts[i]
         if t == "record":
-            return self.kinds[i + 1] == IDENT and self.texts[i + 2] == "("
-        return t in _TYPE_KEYWORDS and self.kinds[i + 1] == IDENT
+            return self.idents[i + 1] is not None and self.texts[i + 2] == "("
+        return t in _TYPE_KEYWORDS and self.idents[i + 1] is not None
 
     def split_commas(self, lo: int, hi: int) -> List[range]:
         """The comma-separated items of ``[lo, hi)``: a comma splits only
@@ -266,33 +272,32 @@ class Tokens:
 def tokenize(text: str, file_id: str = "<memory>") -> Tokens:
     """Tokenize Java source; raises ParseError on malformed lexical input.
 
-    One ``_LEXEME.split`` of the whole text gives the tokens by one slice
-    and their lines from the skipped text (see the module docstring).
+    One ``_LEXEME.split`` of the whole text gives the tokens, the skipped
+    texts and the marks of the identifiers and the brackets, each by one
+    slice (see the module docstring).
     """
     pieces = _LEXEME.split(text)
-    texts = pieces[2::3]
+    skipped = pieces[1::5]
+    texts = pieces[2::5]
+    idents = pieces[3::5]
     if len(texts) > 1 and not texts[-2]:  # skipped text at the end: two \Z
-        del texts[-1]
+        del skipped[-1], texts[-1], idents[-1]
+    if not text.isascii():  # the identifier branch takes '½' and '²' too
+        idents = [None if mark is None or not (mark.isalpha() or mark in "_$") else mark
+                  for mark in idents]
+    tokens = Tokens(texts, idents, skipped, islice(pieces, 4, None, 5))
     n = len(texts) - 1
-    skipped = pieces[1:3 * n + 3:3]  # before each token and the sentinel
-    lines = list(accumulate(map(str.count, skipped, repeat("\n")), initial=1))
-    if lines[-1] != text.count("\n") + 1:  # a token holds a newline
-        held = chain((0,), map(str.count, texts, repeat("\n")))
-        lines = list(accumulate(
-            map(add, map(str.count, skipped, repeat("\n")), held), initial=1))
-    del lines[0], lines[-1]
     if n:
         opener = _unclosed_opener(texts[n - 1])
         if opener:
-            raise ParseError(file_id, lines[n - 1], _UNTERMINATED_MESSAGE[opener])
-    kinds = list(map(_KIND.__getitem__, map(itemgetter(0), islice(texts, n))))
-    kinds.append("")
-    return Tokens(texts, kinds, lines)
+            raise ParseError(file_id, tokens.line(n - 1), _UNTERMINATED_MESSAGE[opener])
+    return tokens
 
 
-def match_brackets(texts: Sequence[str]) -> List[int]:
+def match_brackets(texts: Sequence[str], brackets: Iterable) -> List[int]:
     """Index of each bracket token's partner; -1 for unpaired brackets and
-    for every other token.
+    for every other token. ``brackets`` is true at the bracket tokens, and
+    only those are read.
 
     Each kind is paired on its own stack, so a closer pairs with the nearest
     open bracket of its kind whatever other kinds lie between, and a closer
@@ -300,11 +305,11 @@ def match_brackets(texts: Sequence[str]) -> List[int]:
     """
     partner = [-1] * len(texts)
     open_at = {open_: [] for open_ in CLOSING}
-    for i, t in enumerate(texts):
-        if t not in _BRACKETS:
-            continue
-        if t in open_at:
-            open_at[t].append(i)
+    for i in compress(range(len(texts)), brackets):
+        t = texts[i]
+        stack = open_at.get(t)
+        if stack is not None:
+            stack.append(i)
             continue
         stack = open_at[_OPENING[t]]
         if stack:

@@ -317,7 +317,9 @@ def ingest_cam_csv(
     import csv  # only a cam run reads CSV
 
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # A second handle reads a rejected row's lines again, forward only.
+    with open(path, "r", encoding="utf-8", newline="") as fh, \
+            open(path, "r", encoding="utf-8", newline="") as again:
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}
@@ -339,6 +341,7 @@ def ingest_cam_csv(
             width = max(positions + [static_at or 0]) + 1
             cells_of = itemgetter(*positions)
             skipped = 0  # lines read past the reader to the end of a rejected row
+            read_again = 0  # lines read from ``again``
             start = reader.line_num + 1
             while True:
                 try:
@@ -361,7 +364,10 @@ def ingest_cam_csv(
                 except csv.Error as exc:  # the reader goes on at the next line
                     diag.rows_seen += 1
                     diag.skip(path, start, str(exc))
-                    skipped += _rest_of_row(path, start, reader.line_num + skipped, fh)
+                    last = reader.line_num + skipped
+                    row = "".join(islice(again, start - 1 - read_again, last - read_again))
+                    read_again = last
+                    skipped += _rest_of_row(row, fh)
                     start = reader.line_num + skipped + 1
         except UnicodeDecodeError as exc:
             # Decoded in chunks, so no row line is known.
@@ -377,12 +383,10 @@ _OPEN_QUOTED_CELL = re.compile(
     r'(?:(?:"(?:[^"]|"")*"(?!")[^,\r\n]*|[^",\r\n][^,\r\n]*|),)*"(?:[^"]|"")*')
 
 
-def _rest_of_row(path: str, first: int, last: int, fh) -> int:
+def _rest_of_row(text: str, fh) -> int:
     """How many lines of ``fh`` finish the row the csv module rejected on
-    lines ``first`` to ``last`` of ``path``: those up to where the row's
-    open quoted cell, if it has one, closes."""
-    with open(path, "r", encoding="utf-8", newline="") as again:
-        text = "".join(islice(again, first - 1, last))
+    the lines ``text`` holds: those up to where the row's open quoted cell,
+    if it has one, closes."""
     read = 0
     while _OPEN_QUOTED_CELL.fullmatch(text) and (line := next(fh, "")):
         read += 1

@@ -36,9 +36,12 @@ def work(fn, *args) -> int:
     across Python 3.10 to 3.13, where a count itself may differ by a few.
 
     Blind spot: work inside a C call is no event, so growth that hides in
-    one is not seen, such as a ``str.join`` of a slice of tokens, a list
-    slice, ``map`` over a C function (the blank-line count ``str.strip``s
-    every line) or a regex (the tokenizer is one ``Pattern.split``)."""
+    one is not seen, such as a ``str.join`` of a slice of tokens (a
+    parameter's type text, and ``Tokens.line``'s count of the newlines
+    since the token it was asked about last), a list slice, ``map`` over a
+    C function (the blank-line count ``str.strip``s every line) or a regex
+    (the tokenizer is one ``Pattern.split``). A wall-clock probe guards
+    each: ``test_class_lines_are_found_in_linear_time`` the line count."""
     count = 0
     counted = frozenset({"call", "line", "return"})
 

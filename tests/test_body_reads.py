@@ -55,7 +55,9 @@ def test_walk_equals_walk_over_stream_cut_at_span_stop(seed, monkeypatch):
     for span, tokens, attr_names, param_names, method_name, result in calls:
         stop = span.stop
         assert tokens.texts[stop] == "}"
-        cut = Tokens(tokens.texts[:stop] + [""], tokens.kinds[:stop] + [""], tokens.lines[:stop])
+        texts = tokens.texts[:stop] + [""]
+        cut = Tokens(texts, tokens.idents[:stop] + [None], tokens.skipped[:stop + 1],
+                     [t in ("(", ")", "[", "]", "{", "}") for t in texts])
         assert analyze_body(span, cut, attr_names, param_names, method_name) == result
 
 

@@ -1,4 +1,5 @@
-"""match_brackets against a naive per-kind level-counting reference, the
+"""match_brackets against a naive per-kind level-counting reference, both
+finding the brackets in the texts and pairing those tokenize marks, the
 whole-file table restricted to a range against the range's own table, and
 where the parser reports a bracket that never closes.
 
@@ -13,11 +14,15 @@ import pytest
 
 from classaudit.javamodel import parse_compilation_unit
 from classaudit.javamodel.parser import _UnitParser
-from classaudit.javamodel.tokens import IDENT, match_brackets, tokenize
+from classaudit.javamodel.tokens import match_brackets, tokenize
 from classaudit.pipeline import Diagnostics, ingest_sources
 
 PAIRS = {"(": ")", "[": "]", "{": "}"}
 ALPHABET = ["(", ")", "[", "]", "{", "}", ";", "a", "b"]
+
+
+def brackets(texts):
+    return [t in PAIRS or t in PAIRS.values() for t in texts]
 
 
 def reference_partners(texts):
@@ -43,20 +48,22 @@ def reference_partners(texts):
 def test_match_brackets_equals_level_counting(seed):
     rng = random.Random(seed)
     texts = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 40))]
-    full = match_brackets(texts)
+    full = match_brackets(texts, brackets(texts))
     assert full == reference_partners(texts)
+    assert tokenize(" ".join(texts)).match == full + [-1]
     # The body walker reads the file's table over a method body's range, a
     # partner outside it as -1; that must be the range's own table.
     for _ in range(20):
         lo = rng.randint(0, len(texts))
         hi = rng.randint(lo, len(texts))
         restricted = [j - lo if lo <= j < hi else -1 for j in full[lo:hi]]
-        assert restricted == match_brackets(texts[lo:hi]), (texts, lo, hi)
+        assert restricted == match_brackets(texts[lo:hi], brackets(texts[lo:hi])), \
+            (texts, lo, hi)
 
 
 def test_match_brackets_pairs_each_kind_on_its_own():
     texts = ["(", "{", ")", "}", "]", "["]
-    assert match_brackets(texts) == [2, 3, 0, 1, -1, -1]
+    assert match_brackets(texts, brackets(texts)) == [2, 3, 0, 1, -1, -1]
 
 
 @pytest.mark.parametrize("source, line, reason", [
@@ -97,7 +104,7 @@ def reference_param_split(texts, lo, hi):
     return items
 
 
-def reference_lambda_params(texts, kinds, lo, hi):
+def reference_lambda_params(texts, idents, lo, hi):
     """The lambda-parameter split the walker used: the last identifier of
     each segment, with the parser's levels."""
     params = []
@@ -118,7 +125,7 @@ def reference_lambda_params(texts, kinds, lo, hi):
             if seg_last_ident:
                 params.append(seg_last_ident)
             seg_last_ident = None
-        elif kinds[j] == IDENT:
+        elif idents[j] is not None:
             seg_last_ident = t
     if seg_last_ident:
         params.append(seg_last_ident)
@@ -175,9 +182,9 @@ def test_split_commas_equals_the_old_level_counters(seed):
     for hi in {len(texts), rng.randint(0, len(texts))}:
         items = toks.split_commas(0, hi)
         assert items == reference_param_split(texts, 0, hi), (texts, hi)
-        last_idents = [[j for j in item if toks.kinds[j] == IDENT][-1:] for item in items]
+        last_idents = [[j for j in item if toks.idents[j] is not None][-1:] for item in items]
         assert [texts[j] for found in last_idents for j in found] == \
-            reference_lambda_params(texts, toks.kinds, 0, hi), (texts, hi)
+            reference_lambda_params(texts, toks.idents, 0, hi), (texts, hi)
 
 
 @pytest.mark.parametrize("seed", range(200))

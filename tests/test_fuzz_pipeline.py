@@ -45,7 +45,7 @@ def fixture_tokens(path):
     from classaudit.javamodel import tokenize
 
     toks = tokenize(path.read_text(encoding="utf-8"))
-    return list(zip(toks.texts, toks.lines))  # the sentinel has no line
+    return [(toks.texts[i], toks.line(i)) for i in range(len(toks))]
 
 
 def source_of(tokens):

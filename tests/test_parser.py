@@ -361,6 +361,46 @@ def test_member_scan_after_an_unclosed_angle_is_linear():
     assert result.stdout.split() == ["[]"]
 
 
+def test_class_lines_are_found_in_linear_time():
+    # The parser asks for each class's first and last line, in source order,
+    # and Tokens.line counts the newlines on from the token asked about last
+    # by a str.join, which conftest.work cannot count. Counting from the
+    # first token every time took time quadratic in the classes: 4 times the
+    # classes took 12 to 15 times as long, against 4 times.
+    script = r"""
+import time
+from classaudit.javamodel import parse_compilation_unit
+
+def siblings(n):
+    return "".join(f"class C{i} {{\n    int f{i};\n}}\n" for i in range(n))
+
+def nested(n):
+    opening = "".join(f"class C{i} {{\n\n    int f{i};\n" for i in range(n))
+    return opening + "}\n" * n
+
+def best(text):
+    times = []
+    for _ in range(7):
+        started = time.perf_counter()
+        parse_compilation_unit(text)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+for shape, n in ((siblings, 500), (nested, 100)):
+    print(best(shape(4 * n)) / best(shape(n)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    growth = [float(ratio) for ratio in result.stdout.split()]
+    assert len(growth) == 2 and max(growth) < 8, growth
+
+
 def test_two_top_level_classes():
     classes = parse("class A { }\nclass B { }")
     assert [c.name for c in classes] == ["A", "B"]

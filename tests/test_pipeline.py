@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -648,6 +649,32 @@ def test_cam_csv_row_rejected_in_a_quoted_cell_ends_where_the_cell_does(tmp_path
     assert diag.lines == [f"SKIP {path}:3 field larger than field limit ({limit})"]
     assert [r.origin for r in records] == [f"{path}:2", f"{path}:{3 + lines}"]
     assert (diag.rows_seen, diag.skipped) == (3, 1)
+
+
+def test_cam_csv_rows_the_csv_module_rejects_are_read_again_in_linear_time(tmp_path):
+    # A rejected row's lines are read again to find where the row ends.
+    # Reading them from the file's first line at every rejected row took
+    # time quadratic in the rows: 4 times the rows took about 12 times as long.
+    good = "a.C,0.5,0.7,3,4,2.0,3,1,100,10,false\n"
+    bad = "a.B," + "x" * 100 + ",0.7,3,4,2.0,3,1,100,10,false\n"
+    limit = csv.field_size_limit(64)
+    try:
+        times = []
+        for rows in (2000, 8000):
+            directory = tmp_path / str(rows)
+            directory.mkdir()
+            path = write_csv(directory, [good, bad] * (rows // 2))
+            best = float("inf")
+            for _ in range(3):
+                diag = Diagnostics()
+                started = time.perf_counter()
+                records = list(ingest_cam_csv(path, CSV_MAP, diagnostics=diag))
+                best = min(best, time.perf_counter() - started)
+            assert (len(records), diag.skipped) == (rows // 2, rows // 2)
+            times.append(best)
+    finally:
+        csv.field_size_limit(limit)
+    assert times[1] < 8 * times[0], times
 
 
 def test_cam_csv_header_the_csv_module_rejects_is_a_parse_error(tmp_path):

@@ -5,8 +5,9 @@ from classaudit.javamodel.tokens import tokenize
 
 
 def triples(code):
+    """(identifier mark, text, line) of each token."""
     toks = tokenize(code)
-    return list(zip(toks.kinds, toks.texts, toks.lines))
+    return [(toks.idents[i], toks.texts[i], toks.line(i)) for i in range(len(toks))]
 
 
 def texts(code):
@@ -17,9 +18,17 @@ def test_stream_is_parallel_lists_ending_in_one_sentinel():
     toks = tokenize("f(x)\n;")
     assert len(toks) == 5
     assert toks.texts == ["f", "(", "x", ")", ";", ""]
-    assert toks.kinds == ["ident", "op", "ident", "op", "op", ""]
-    assert toks.lines == [1, 1, 1, 1, 2]
+    assert toks.idents == ["f", None, "x", None, None, None]
+    assert toks.skipped == ["", "", "", "", "\n", ""]
+    assert [toks.line(i) for i in range(6)] == [1, 1, 1, 1, 2, 2]
     assert toks.match == [-1, 3, -1, 1, -1, -1]
+
+
+def test_identifiers_are_marked_by_their_first_character():
+    toks = tokenize("if ($x1 == _y) return é.b2 + 1a;")
+    marked = [(mark, text) for mark, text in zip(toks.idents, toks.texts) if mark]
+    assert marked == [("i", "if"), ("$", "$x1"), ("_", "_y"), ("r", "return"),
+                      ("é", "é"), ("b", "b2")]
 
 
 def test_comments_and_whitespace_are_dropped():
@@ -29,20 +38,18 @@ def test_comments_and_whitespace_are_dropped():
 
 def test_string_literals_are_single_tokens():
     toks = triples('String s = "a { b // } c";')
-    kinds = [(kind, text) for kind, text, _ in toks]
-    assert ("string", '"a { b // } c"') in kinds
+    assert (None, '"a { b // } c"', 1) in toks
     assert sum(1 for _, text, _ in toks if text == "{") == 0
 
 
 def test_escaped_quote_inside_string():
-    toks = triples(r's = "a\"b";')
-    assert any(kind == "string" and text == r'"a\"b"' for kind, text, _ in toks)
+    assert texts(r's = "a\"b";') == ["s", "=", r'"a\"b"', ";"]
 
 
 def test_char_literals():
     toks = triples(r"char c = '\''; char d = 'x';")
-    chars = [text for kind, text, _ in toks if kind == "char"]
-    assert chars == [r"'\''", "'x'"]
+    chars = [(mark, text) for mark, text, _ in toks if text.startswith("'")]
+    assert chars == [(None, r"'\''"), (None, "'x'")]
 
 
 def test_text_block_spans_lines():
@@ -125,9 +132,9 @@ def test_closed_literal_or_comment_at_the_end_is_not_unterminated(text, last):
 
 @pytest.mark.parametrize("text, expected", [
     # '½' is neither a letter nor a decimal digit, yet continues a lexeme.
-    ("½x", [("op", "½x", 1)]),
+    ("½x", [(None, "½x", 1)]),
     # '²' is a digit but not a decimal one, so '.' does not join it.
-    ("1.²", [("number", "1", 1), ("op", ".", 1), ("number", "²", 1)]),
+    ("1.²", [(None, "1", 1), (None, ".", 1), (None, "²", 1)]),
 ])
 def test_non_decimal_numeric_characters_split_as_pinned(text, expected):
     assert triples(text) == expected
