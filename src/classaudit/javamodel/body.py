@@ -571,10 +571,7 @@ class _BodyWalker:
         stops = set(terminators) | {","}
         while idents[i] is not None:  # a declarator: name, dimensions, initializer
             self.scopes[-1].add(texts[i])
-            i += 1
-            while texts[i] == "[" and texts[i + 1] == "]":
-                i += 2
-            self.i = i
+            self.i = i = self.toks.skip_dims(i + 1)
             if self.eat_if("="):
                 self.parse_expr(stops, depth)
             if not self.eat_if(","):

@@ -20,14 +20,19 @@ sentinels are read past either end), bracket extents are table lookups,
 parameter lists are cut by ``Tokens.split_commas``, and each method body
 goes to the walker as an index range of the lists. Annotations,
 types and type declarations are read by the rules the walker reads them by,
-the ``Tokens`` methods. Members are read forward, ``[type parameters]
-[type] name`` then ``(`` or the declarators, and one that cannot be read is
-given up where reading stopped, or at the name read, and not reread.
+the ``Tokens`` methods. Each member is read inside the one loop, forward:
+``[type parameters] [type] name``, then ``(`` or the declarators. Field
+names go straight to the class's attributes and methods to its method
+list; a name with no return type that is the class's own is a
+constructor, and counts for nothing. A member that cannot be read is given
+up in one branch of the loop, where reading stopped or at the name read,
+and not reread. One rule, ``_head_end``, finds the ``{`` or ``;`` that
+ends a type declaration's head and a method's ``throws`` clause.
 """
 
 from itertools import accumulate
 from operator import not_
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ParseError, SpanOutOfBounds
 from .body import analyze_body
@@ -85,6 +90,15 @@ class _UnitParser:
             raise ParseError(self.file_id, self.line(i), f"unbalanced {t}{CLOSING[t]}")
         return j
 
+    def _head_end(self, i: int, end: int) -> int:
+        """The index of the first ``{`` or ``;`` from i, ``(...)`` groups
+        jumped, or one at least ``end``: a type declaration's head, or what
+        follows a parameter list. An unpaired ``(`` is a ParseError."""
+        texts = self.texts
+        while i < end and texts[i] != "{" and texts[i] != ";":
+            i = self.close_of(i) + 1 if texts[i] == "(" else i + 1
+        return i
+
     # ---- top level and type bodies ----------------------------------------
 
     def parse_top_level(self) -> List[SourceClass]:
@@ -104,27 +118,31 @@ class _UnitParser:
     def _read_members(self, i: int, end: int, owner: str, prefix: str,
                       nested: List[SourceClass]):
         """Read the members in [i, end), of a type body or the compilation
-        unit, forward. Type declarations go to ``nested``, qualified by
-        ``prefix``; a method named ``owner`` with no return type is a
-        constructor. Returns the field names (in declaration order), the
-        methods as (name, parameter types, parameter names, body span) and
-        whether a field or method is static."""
-        texts = self.texts
+        unit, forward, in one loop. Type declarations go to ``nested``,
+        qualified by ``prefix``. Any other member is read as ``[type
+        parameters] [type] name``, then ``(`` or the declarators: a name
+        with no return type that is ``owner`` is a constructor, which
+        counts for nothing. A member that cannot be read is given up in one
+        branch, where reading stopped or at the name read, and not reread.
+        Returns the field names (in declaration order), the methods as
+        (name, parameter types, parameter names, body range or ``None``)
+        and whether a field or method is static."""
+        toks, texts, idents = self.toks, self.texts, self.idents
         attributes: Dict[str, None] = {}
-        raw_methods: List[Tuple[str, List[str], List[str], Tuple[int, int]]] = []
+        methods: List[Tuple[str, List[str], List[str], Optional[range]]] = []
         has_static = False
         while i < end:
             if texts[i] == ";":
                 i += 1
                 continue
             start = i
-            mods: Set[str] = set()
+            static = False
             while i < end:
                 t = texts[i]
                 if t == "@" and texts[i + 1] != "interface":
-                    i = self.toks.skip_annotation(i, end)
+                    i = toks.skip_annotation(i, end)
                 elif t in MODIFIER_WORDS:
-                    mods.add(t)
+                    static = static or t == "static"
                     i += 1
                 elif t == "non" and texts[i + 1] == "-" and texts[i + 2] == "sealed":
                     i += 3
@@ -139,22 +157,43 @@ class _UnitParser:
             if t == "@":  # the loop above stops at '@' only before 'interface'
                 i += 1
             # _parse_type_decl steps over a type keyword not followed by a name
-            if texts[i] in _TYPE_KEYWORDS or self.toks.type_decl_at(i):
+            if texts[i] in _TYPE_KEYWORDS or toks.type_decl_at(i):
                 i = self._parse_type_decl(i, end, self.line(start), prefix, nested)
                 continue
-            i, kind_, mname, param_types, param_names, body_span = self._parse_member(
-                i, end, owner)
-            if kind_ == "field":
-                if "static" in mods:
-                    has_static = True
-                for fname in param_types:  # declarator names for fields
-                    attributes[fname] = None
-            elif kind_ == "method":
-                if "static" in mods:
-                    has_static = True
-                raw_methods.append((mname, param_types, param_names, body_span))
-            # constructors contribute nothing
-        return attributes, raw_methods, has_static
+            head = toks.skip_angles(i, end) if texts[i] == "<" else i
+            name = toks.read_type(head, end) if head >= 0 else head
+            if name == head + 1 and texts[name] == "(":  # a name with no return type
+                name = head
+            # k is -1, at the sentinel, when no name was read
+            k = toks.skip_dims(name + 1) if name >= 0 and idents[name] is not None else -1
+            if texts[k] == "(":
+                close = self.close_of(k)
+                i = self._head_end(close + 1, end)  # past a throws clause
+                body = None
+                if texts[i] == "{":
+                    body = range(i + 1, self.close_of(i))
+                    i = body.stop
+                i += 1
+                if name > head or texts[name] != owner:  # else a constructor
+                    has_static = has_static or static
+                    types, names = self._parse_params(k + 1, close)
+                    methods.append((texts[name], types, names, body))
+            elif texts[k] in ("=", ";", ","):
+                has_static = has_static or static
+                attributes[texts[name]] = None
+                i = k
+                while i < end and texts[i] != ";":  # the declarators
+                    if texts[i] == "=":
+                        i = self._skip_initializer(i + 1, end)
+                    elif texts[i] == "," and idents[i + 1] is not None:
+                        attributes[texts[i + 1]] = None
+                        i += 2
+                    else:
+                        i += 1
+                i += 1  # past the ';'
+            else:  # no member: give it up
+                i = max(~name, i + 1) if name < 0 else name
+        return attributes, methods, has_static
 
     def _parse_type_decl(self, i: int, end: int, first_line: int, prefix: str,
                          units: List[SourceClass]) -> int:
@@ -169,19 +208,14 @@ class _UnitParser:
         if self.idents[name_idx] is None:
             return i + 1
         name = self.texts[name_idx]
-        j = name_idx + 1
-        # skip type parameters / record header / extends-implements-permits
-        while j < end and self.texts[j] != "{":
-            if self.texts[j] == "(":
-                j = self.close_of(j) + 1
-                continue
-            if self.texts[j] == ";":  # bodyless declaration
-                return j + 1
-            j += 1
+        # past type parameters, a record header, extends, implements, permits
+        j = self._head_end(name_idx + 1, end)
         if j >= end:
             if end < self.n:  # the enclosing body closes first
                 return end
             raise ParseError(self.file_id, self.line(i), f"missing body for {keyword} {name}")
+        if self.texts[j] == ";":  # bodyless declaration
+            return j + 1
         body_close = self.close_of(j)
         qualified = f"{prefix}.{name}" if prefix else name
         if keyword != "class":
@@ -192,21 +226,12 @@ class _UnitParser:
             j + 1, body_close, name, qualified, nested)
 
         methods: List[MethodView] = []
-        for mname, ptypes, pnames, body_span in raw_methods:
-            if body_span == (0, 0):
-                accessed: Set[str] = set()
-                events: List[Event] = []
-            else:
-                span = range(*body_span)
-                accessed, events = analyze_body(span, self.toks, attributes, pnames, mname)
-            methods.append(
-                MethodView(
-                    name=mname,
-                    parameter_types=ptypes,
-                    accessed_attributes=accessed,
-                    events=events,
-                )
-            )
+        for mname, ptypes, pnames, body in raw_methods:
+            accessed: Set[str] = set()
+            events: List[Event] = []
+            if body is not None:
+                accessed, events = analyze_body(body, self.toks, attributes, pnames, mname)
+            methods.append(MethodView(mname, ptypes, accessed, events))
 
         last_line = self.line(body_close)
         loc, blank = count_loc_and_blank(self.blank_before, (first_line, last_line))
@@ -223,80 +248,12 @@ class _UnitParser:
         ))
         return body_close + 1
 
-    def _parse_member(self, i: int, end: int, class_name: str):
-        """Read one field, method or constructor forward.
-
-        Returns (next_index, kind, name, types, names, body_span) where for
-        fields `types` carries the declarator names. When the tokens are no
-        member, kind is None and next_index, past i, is where reading
-        stopped or the name read, for the caller to resume at.
-        """
-        toks, texts = self.toks, self.texts
-        head = toks.skip_angles(i, end) if texts[i] == "<" else i
-        j = toks.read_type(head, end) if head >= 0 else head
-        if j < 0:
-            return (max(~j, i + 1), None, "", [], [], (0, 0))
-        if texts[j] == "(" and j == head + 1:  # a name with no return type
-            return self._parse_callable(head, j, end, class_name, False)
-        if self.idents[j] is None:  # j may be the sentinel, at the stream's end
-            return (j, None, "", [], [], (0, 0))
-        k = j + 1
-        while texts[k] == "[" and texts[k + 1] == "]":
-            k += 2
-        if texts[k] == "(":
-            return self._parse_callable(j, k, end, class_name, True)
-        if texts[k] in ("=", ";", ","):
-            return self._parse_field(j, k, end)
-        return (j, None, "", [], [], (0, 0))
-
-    def _parse_field(self, name_idx: int, delim: int, end: int):
-        names = [self.texts[name_idx]]
-        i = delim
-        while i < end:
-            t = self.texts[i]
-            if t == ";":
-                return (i + 1, "field", "", names, [], (0, 0))
-            if t == "=":
-                i = self._skip_initializer(i + 1, end)
-                continue
-            if t == ",":
-                i += 1
-                if self.idents[i] is not None:
-                    names.append(self.texts[i])
-                    i += 1
-                continue
-            i += 1
-        return (end, "field", "", names, [], (0, 0))
-
     def _skip_initializer(self, i: int, end: int) -> int:
         """Skip an initializer expression up to a ',' or ';' outside its
         bracket groups, or to ``end``."""
         while i < end and self.texts[i] not in (",", ";"):
             i = max(self.match[i], i) + 1
         return min(i, end)
-
-    def _parse_callable(self, name_idx: int, paren: int, end: int, class_name: str,
-                        has_return_type: bool):
-        mname = self.texts[name_idx]
-        params_close = self.close_of(paren)
-        param_types, param_names = self._parse_params(paren + 1, params_close)
-        # throws clause, then body or ';'
-        i = params_close + 1
-        while i < end and self.texts[i] not in ("{", ";"):
-            if self.texts[i] == "(":
-                i = self.close_of(i) + 1
-                continue
-            i += 1
-        if self.texts[i] == "{":
-            body_close = self.close_of(i)
-            body_span = (i + 1, body_close)
-            nxt = body_close + 1
-        else:
-            body_span = (0, 0)
-            nxt = i + 1
-        if not has_return_type and mname == class_name:
-            return (nxt, "ctor", mname, [], [], (0, 0))
-        return (nxt, "method", mname, param_types, param_names, body_span)
 
     def _parse_params(self, i: int, close: int):
         """Parameter list between ( and ): normalized types + names."""
@@ -316,9 +273,7 @@ class _UnitParser:
         j = toks.read_type(i, end)
         if j < 0 or self.idents[j] is None or texts[j] == "this":
             return None  # no type, or not a name
-        k = j + 1
-        while texts[k] == "[" and texts[k + 1] == "]":
-            k += 2
+        k = toks.skip_dims(j + 1)
         if k != end:
             return None
         parts = texts[i:j]

@@ -48,9 +48,9 @@ bracket of its kind, which is inside the range whenever one there is open.
 
 The parser and the body walker share the token-level rules on ``Tokens``:
 ``skip_annotation`` skips ``@a.b.C(...)``, ``skip_angles`` a balanced
-``<...>`` of type arguments, ``read_type`` a type, and ``type_decl_at``
-tells a class, interface, enum or record declaration. ``split_commas``
-cuts the items of a list. Each jumps groups by the table, and all follow
+``<...>`` of type arguments, ``read_type`` a type, ``skip_dims`` a
+declarator's ``[]`` pairs, and ``type_decl_at`` tells a class, interface,
+enum or record declaration. ``split_commas`` cuts the items of a list. Each jumps groups by the table, and all follow
 one rule on malformed input: a scan over a range takes an unpaired bracket
 as an ordinary token, and ends at a group whose partner lies past its end.
 ``read_type`` reads forward and builds no text: dotted names, each after
@@ -236,6 +236,13 @@ class Tokens:
             if texts[k] != "[" or texts[k + 1] != "]" or k + 1 >= end:
                 return k + 1 if texts[k] == "..." and k < end else i
             i = k = k + 2
+
+    def skip_dims(self, i: int) -> int:
+        """The index past the ``[]`` pairs at i: a declarator's dimensions."""
+        texts = self.texts
+        while texts[i] == "[" and texts[i + 1] == "]":
+            i += 2
+        return i
 
     def type_decl_at(self, i: int) -> bool:
         """Whether a class, interface or enum declaration (keyword, then a

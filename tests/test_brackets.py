@@ -68,6 +68,9 @@ def test_match_brackets_pairs_each_kind_on_its_own():
 
 @pytest.mark.parametrize("source, line, reason", [
     ("class A {\n  void f(int x {\n  }\n}\n", 2, "unbalanced ()"),
+    ("class A {\n  void f() throws E(x {\n  }\n}\n", 2, "unbalanced ()"),
+    ("class A {\n  record R(int x {\n  }\n}\n", 2, "unbalanced ()"),
+    ("class A {\n  A(int x {\n  }\n}\n", 2, "unbalanced ()"),
     ("package p;\n\nclass A {\n  void f() {\n  }\n", 3, "unbalanced {}"),
 ])
 def test_unpaired_opener_is_skipped_at_its_line(tmp_path, source, line, reason):

@@ -8,8 +8,9 @@ inside C calls; see `work`.
 The shapes: a run of each token of the fuzz's `tokens` alphabet and of a
 few more tokens and phrases, in a class body and in a method body; nested
 classes; the benchmark's five `shapes` generators, loaded from
-`perfbench/workloads.py` by path; and fields, parameters and locals of
-annotated generic types.
+`perfbench/workloads.py` by path; fields, parameters and locals of
+annotated generic types; constructors with annotated `throws` clauses,
+member record heads, and one field of many declarators.
 """
 
 import importlib.util
@@ -91,6 +92,13 @@ SHAPES = {
     "methods of distinct parameter types": (members("    void m{i}(T{i} a) {{ }}\n"), 200),
     "locals": (members(
         "    void m{i}() {{ Outer<T>.Inner x = null; java.util.@N List y = x; f = y; }}\n"), 200),
+    "constructors with annotated throws clauses": (members(
+        "    A(T{i} a) throws @X E{i}, F {{ }}\n"), 200),
+    "member record heads": (members(
+        "    record R{i}(int a, int b) implements I {{ }}\n"), 200),
+    "one field of N declarators": (
+        lambda n: "class A { int " + ", ".join(f"a{i}[] = f({i}, {i})" for i in range(n)) + "; }",
+        200),
 }
 
 

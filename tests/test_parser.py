@@ -96,10 +96,22 @@ def test_local_and_anonymous_classes_in_other_types_are_not_units(code, units):
     assert [c.qualified_name for c in flat(parse(code))] == units
 
 
-def test_constructor_excluded_from_methods():
-    code = "class A { int x; A(int x) { this.x = x; } int get() { return x; } }"
+@pytest.mark.parametrize("code, methods, attributes, has_static", [
+    pytest.param("class A { int x; A(int x) { this.x = x; } int get() { return x; } }",
+                 ["get"], ["x"], False, id="with_parameters"),
+    # A name with no return type other than the class's is a method.
+    pytest.param("class A { B() {} }", ["B"], [], False, id="other_name"),
+    # A static constructor is read as one, and makes no static member.
+    pytest.param("class A { static A() {} }", [], [], False, id="static"),
+    pytest.param("class A { <T> A(T t) {} <T> T B(T t) { return t; } }", ["B"], [], False,
+                 id="generic"),
+    pytest.param("class A { A() throws E; int x; }", [], ["x"], False, id="bodyless_throws"),
+])
+def test_constructor_excluded_from_methods(code, methods, attributes, has_static):
     a = parse(code)[0]
-    assert [m.name for m in a.methods] == ["get"]
+    assert [m.name for m in a.methods] == methods
+    assert a.attributes == attributes
+    assert a.has_static_member is has_static
 
 
 def test_factory_method_named_like_class_with_return_type_is_a_method():
