@@ -21,10 +21,12 @@ blocks too, which scope even though ``try`` and ``finally`` do not nest; a
 catch parameter and a lambda's parameters are in the scope of the block they
 head. A ``for`` header, ``try`` resources and a ``switch`` block scope their
 own declarations the same way. In an arrow-form ``case`` label, ``A ->``
-ends the label: it is never a lambda. A type or
-record pattern binds like a local after ``instanceof``, and for its own arm
-only in a ``case`` label; a record pattern binds each component's last
-identifier, or a nested record pattern's bindings.
+ends the label: it is never a lambda. A type or record pattern binds like a
+local after ``instanceof``, and for its own arm only in a ``case`` label.
+One rule, ``_bind_names``, binds a record pattern's components and a catch
+clause's or a lambda's parameters: each item's last identifier outside
+annotations, or a nested record pattern's bindings. A local type's head is
+read by ``Tokens.head_end``, as the parser reads a member type's.
 
 Nesting-depth convention (pinned so hand oracles can match it): the method
 body is depth 0; bodies of if/else branches, loops, switch blocks, catch
@@ -43,7 +45,7 @@ partner outside the body reads -1, which is the body's own table (see
 ``tokens``).
 """
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Container, List, Sequence, Set, Tuple
 
 from .model import (
     EVENT_BOOL_OP,
@@ -81,11 +83,13 @@ _RESOURCE_END = frozenset({";", ")"})
 def analyze_body(
     span: range,
     tokens: Tokens,
-    attr_names: Iterable[str],
+    attr_names: Container[str],
     param_names: Sequence[str],
     method_name: str,
 ) -> Tuple[Set[str], List[Event]]:
     """Analyze the tokens at ``span``: a method's, between its braces.
+    ``attr_names``, the class's attributes, is tested with ``in`` and not
+    copied, so a class's methods all read its one table.
 
     Raises ``ValueError`` unless ``0 <= span.start <= span.stop`` and the
     token at ``span.stop`` is ``}`` or the stream's ``""`` sentinel.
@@ -107,7 +111,7 @@ class _BodyWalker:
         self.i = span.start
         self.start = span.start
         self.end = span.stop
-        self.attrs = set(attr_names)
+        self.attrs = attr_names
         self.method_name = method_name
         self.scopes: List[Set[str]] = [set(param_names)]
         self.accessed: Set[str] = set()
@@ -146,12 +150,8 @@ class _BodyWalker:
     # ---- entry -----------------------------------------------------------
 
     def run(self):
-        texts, end = self.texts, self.end
-        while self.i < end:
-            if texts[self.i] == "}":
-                self.i += 1  # unbalanced close; tolerate
-                continue
-            self.parse_statement(0)
+        while self.i < self.end:
+            self.parse_statement(0)  # steps over a stray '}' as it makes progress
 
     # ---- statements -------------------------------------------------------
 
@@ -213,10 +213,9 @@ class _BodyWalker:
             self.parse_paren_expr(depth)
             self.block(depth)
             return
-        if t in ("return", "throw"):
+        if t in ("return", "throw", "assert") or (t == "yield" and texts[i + 1] != "="):
             self.i = i + 1
-            if texts[i + 1] != ";":
-                self.parse_expr(_SEMI, depth)
+            self.parse_expr(_SEMI, depth)
             self.eat_if(";")
             return
         if t in ("break", "continue"):
@@ -224,11 +223,6 @@ class _BodyWalker:
             if idents[i] is not None and texts[i] not in ("case", "default"):
                 i += 1  # jump label, never an attribute access
             self.i = i
-            self.eat_if(";")
-            return
-        if t == "assert" or (t == "yield" and texts[i + 1] != "="):
-            self.i = i + 1
-            self.parse_expr(_SEMI, depth)
             self.eat_if(";")
             return
         if self.toks.type_decl_at(i):
@@ -273,21 +267,15 @@ class _BodyWalker:
         self.i += 1  # '('
         self.scopes.append(set())
         if classic:
-            if not self.eat_if(";"):
-                if not self.try_parse_declaration(depth, terminators=(";",)):
-                    self.parse_expr(_SEMI, depth)
-                self.eat_if(";")
-            if texts[self.i] != ";":
+            if not self.try_parse_declaration(depth, terminators=(";",)):
                 self.parse_expr(_SEMI, depth)
             self.eat_if(";")
-            if texts[self.i] != ")":
-                self.parse_expr(_RPAREN, depth)
-            self.eat_if(")")
-        else:
-            if self.try_parse_declaration(depth, terminators=(":",)):
-                self.eat_if(":")
-            self.parse_expr(_RPAREN, depth)
-            self.eat_if(")")
+            self.parse_expr(_SEMI, depth)
+            self.eat_if(";")
+        elif self.try_parse_declaration(depth, terminators=(":",)):
+            self.eat_if(":")
+        self.parse_expr(_RPAREN, depth)
+        self.eat_if(")")
         self.parse_statement(depth + 1)
         self.scopes.pop()
 
@@ -338,7 +326,7 @@ class _BodyWalker:
         self.parse_expr(_CASE_LABEL, depth)
 
     def parse_try(self, depth: int):
-        texts, idents, end = self.texts, self.idents, self.end
+        texts, end = self.texts, self.end
         self.i += 1  # 'try'
         has_resources = self.eat_if("(")
         if has_resources:
@@ -356,28 +344,20 @@ class _BodyWalker:
             self.scopes.pop()
         while self.eat_if("catch"):
             self.events.append((EVENT_CATCH, depth))
-            names = ()
-            if self.eat_if("("):
-                i = self.i
-                while i < end and texts[i] != ")":
-                    if idents[i] is not None:
-                        names = (texts[i],)
-                    i += 1
-                self.i = i
-                self.eat_if(")")
+            names: Set[str] = set()
+            if self.eat_if("("):  # the parameter; an unpaired '(' alone
+                close = self.close_of(self.i - 1)
+                if close >= 0:
+                    self._bind_names(self.i - 1, names)
+                    self.i = close + 1
             self.block(depth + 1, names)
         if self.eat_if("finally"):
             self.block(depth)
 
     def parse_local_type(self, depth: int):
         """Local class/interface/enum/record: body is a nested region."""
-        texts, end = self.texts, self.end
-        while self.i < end and texts[self.i] != "{":
-            if texts[self.i] == "(":  # record header; unpaired, to the end
-                close = self.close_of(self.i)
-                self.i = close + 1 if close >= 0 else end
-                continue
-            self.i += 1
+        i = self.toks.head_end(self.i, self.end)
+        self.i = i if i >= 0 else self.end  # an unpaired '(': give up
         self.block(depth + 1)
 
     # ---- expressions ------------------------------------------------------
@@ -501,11 +481,8 @@ class _BodyWalker:
         close = self.close_of(self.i)
         if close < 0 or self.texts[close + 1] != "->" or "->" in stop:
             return False
-        params = []
-        for item in self.toks.split_commas(self.i + 1, close):
-            names = [j for j in item if self.idents[j] is not None]
-            if names:
-                params.append(self.texts[names[-1]])
+        params: Set[str] = set()
+        self._bind_names(self.i, params)
         self.i = close + 2  # past ')' and '->'
         self._lambda_body(depth, stop, params)
         return True
@@ -526,7 +503,7 @@ class _BodyWalker:
         True; return False, and move nothing, if no pattern follows."""
         texts = self.texts
         if texts[i] == "(" and self.close_of(i) >= 0:  # record pattern
-            self._bind_components(i, scope)
+            self._bind_names(i, scope)
             self.i = self.match[i] + 1
         elif self.idents[i] is not None:  # type pattern
             scope.add(texts[i])
@@ -535,19 +512,25 @@ class _BodyWalker:
             return False
         return True
 
-    def _bind_components(self, open_: int, scope: Set[str]):
-        """Add to ``scope`` the bindings of the record pattern whose '(' is
-        at ``open_``, paired inside the body: each component's last
-        identifier, or a nested record pattern's own bindings."""
+    def _bind_names(self, open_: int, scope: Set[str]):
+        """Add to ``scope`` the names bound by the record pattern, lambda
+        or catch parameters whose '(' is at ``open_``, paired inside the
+        body: each item's last identifier outside annotations, or a nested
+        record pattern's own bindings."""
         texts, idents = self.texts, self.idents
         for item in self.toks.split_commas(open_ + 1, self.match[open_]):
+            j, stop = item.start, item.stop
             name = ""
-            for j in item:
+            while j < stop:
+                if texts[j] == "@":
+                    j = self.toks.skip_annotation(j, stop)
+                    continue
                 if texts[j] == "(":
-                    self._bind_components(j, scope)
+                    self._bind_names(j, scope)
                     break
                 if idents[j] is not None:
                     name = texts[j]
+                j += 1
             else:
                 if name:
                     scope.add(name)

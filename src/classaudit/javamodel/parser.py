@@ -26,8 +26,9 @@ names go straight to the class's attributes and methods to its method
 list; a name with no return type that is the class's own is a
 constructor, and counts for nothing. A member that cannot be read is given
 up in one branch of the loop, where reading stopped or at the name read,
-and not reread. One rule, ``_head_end``, finds the ``{`` or ``;`` that
-ends a type declaration's head and a method's ``throws`` clause.
+and not reread. One rule, ``Tokens.head_end``, finds the ``{`` or ``;``
+that ends a type declaration's head and a method's ``throws`` clause, never
+past the enclosing body's end.
 """
 
 from itertools import accumulate
@@ -91,13 +92,11 @@ class _UnitParser:
         return j
 
     def _head_end(self, i: int, end: int) -> int:
-        """The index of the first ``{`` or ``;`` from i, ``(...)`` groups
-        jumped, or one at least ``end``: a type declaration's head, or what
-        follows a parameter list. An unpaired ``(`` is a ParseError."""
-        texts = self.texts
-        while i < end and texts[i] != "{" and texts[i] != ";":
-            i = self.close_of(i) + 1 if texts[i] == "(" else i + 1
-        return i
+        """``Tokens.head_end``, with a ParseError at an unpaired ``(``."""
+        j = self.toks.head_end(i, end)
+        if j < 0:
+            self.close_of(~j)  # raises: the '(' at ~j has no partner
+        return j
 
     # ---- top level and type bodies ----------------------------------------
 

@@ -50,9 +50,11 @@ The parser and the body walker share the token-level rules on ``Tokens``:
 ``skip_annotation`` skips ``@a.b.C(...)``, ``skip_angles`` a balanced
 ``<...>`` of type arguments, ``read_type`` a type, ``skip_dims`` a
 declarator's ``[]`` pairs, and ``type_decl_at`` tells a class, interface,
-enum or record declaration. ``split_commas`` cuts the items of a list. Each jumps groups by the table, and all follow
-one rule on malformed input: a scan over a range takes an unpaired bracket
-as an ordinary token, and ends at a group whose partner lies past its end.
+enum or record declaration. ``split_commas`` cuts the items of a list, and
+``head_end`` finds the end of a declaration's head. Each jumps groups by the
+table, and all follow one rule on malformed input: a scan over a range takes
+an unpaired bracket as an ordinary token, and ends at a group whose partner
+lies past its end; ``head_end`` alone gives ``~stop`` at an unpaired ``(``.
 ``read_type`` reads forward and builds no text: dotted names, each after
 its annotations (or a ``final``) and before its type arguments, then ``[]``
 pairs and a ``...``, each after its annotations. It and ``skip_angles``
@@ -236,6 +238,19 @@ class Tokens:
             if texts[k] != "[" or texts[k + 1] != "]" or k + 1 >= end:
                 return k + 1 if texts[k] == "..." and k < end else i
             i = k = k + 2
+
+    def head_end(self, i: int, end: int) -> int:
+        """The index of the first ``{`` or ``;`` from i, ``(...)`` groups
+        jumped, else ``end``: the end of a type declaration's head or of a
+        ``throws`` clause. ``~stop`` at an unpaired ``(``, at ``stop``."""
+        texts, match = self.texts, self.match
+        while i < end and texts[i] != "{" and texts[i] != ";":
+            if texts[i] == "(":
+                if match[i] < 0:
+                    return ~i
+                i = match[i]
+            i += 1
+        return min(i, end)
 
     def skip_dims(self, i: int) -> int:
         """The index past the ``[]`` pairs at i: a declarator's dimensions."""

@@ -39,9 +39,11 @@ def work(fn, *args) -> int:
     one is not seen, such as a ``str.join`` of a slice of tokens (a
     parameter's type text, and ``Tokens.line``'s count of the newlines
     since the token it was asked about last), a list slice, ``map`` over a
-    C function (the blank-line count ``str.strip``s every line) or a regex
-    (the tokenizer is one ``Pattern.split``). A wall-clock probe guards
-    each: ``test_class_lines_are_found_in_linear_time`` the line count."""
+    C function (the blank-line count ``str.strip``s every line), a regex
+    (the tokenizer is one ``Pattern.split``) or a ``set()`` copy (the body
+    walker once copied its class's attribute table for each method). A
+    wall-clock probe guards each: ``test_class_lines_are_found_in_linear_time``
+    the line count and the attribute table."""
     count = 0
     counted = frozenset({"call", "line", "return"})
 

@@ -76,10 +76,13 @@ def test_lambda_parameter_shadows_in_body_only():
 
 def test_typed_lambda_parameters_shadow():
     assert accesses("f((String x, int y) -> g(x, y));", {"x", "y"}) == set()
+    assert accesses("f((@A(1) String x, int y) -> g(x, y));", {"x", "y"}) == set()
 
 
 def test_catch_parameter_shadows():
     assert accesses("try { } catch (Exception e) { log(e); }", {"e"}) == set()
+    body = 'try { } catch (@SuppressWarnings("x") final Exception e) { log(e); }'
+    assert accesses(body, {"e"}) == set()
 
 
 def test_try_resource_shadows():
@@ -156,6 +159,9 @@ def test_record_pattern_binds_its_components():
     assert accesses("switch (o) { case Point(int x, int y): f(y); }", attrs) == set()
     assert accesses("switch (o) { case Point(var x, var y) when x > y -> f(); }", attrs) == set()
     assert accesses("switch (o) { case Point(int x, int y) -> f(); default -> g(x); }", attrs) == {"x"}
+    # A component's annotation arguments are no nested record pattern.
+    assert accesses("if (o instanceof Point(@A(1) int x, int y)) { f(x); }", attrs) == set()
+    assert accesses("switch (o) { case Point(@A(1) int x, int y) -> f(x); }", attrs) == set()
 
 
 def test_nested_record_pattern_binds_every_component():
@@ -182,6 +188,14 @@ def test_multi_declarator_locals_shadow():
 def test_access_inside_anonymous_class_counts_lexically():
     body = "return new Runnable() { public void run() { x = 1; } };"
     assert accesses(body, {"x"}) == {"x"}
+
+
+def test_stray_close_brace_is_stepped_over():
+    assert accesses("x = 1; } y = 2;", {"x", "y"}) == {"x", "y"}
+
+
+def test_local_record_head_left_open_ends_the_body():
+    assert accesses("record R(int a { } x = 1;", {"x"}) == set()
 
 
 def test_paren_left_open_in_a_body_stays_open_there():

@@ -199,6 +199,26 @@ def test_every_prefix_and_suffix_of_a_fixture_parses_or_skips():
     assert run_fuzz("cuts") == []
 
 
+def test_dump_prints_one_label_and_json_line_per_input():
+    # A change meant to keep behaviour is checked by diffing two checkouts'
+    # dumps, so the dump must run to the end and print every input.
+    result = subprocess.run(
+        [sys.executable, __file__, "dump", "1"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    groups = [sources("fixtures"), sources("cuts")] + [sources(0, a) for a in ALPHABETS]
+    labels = [label for group in groups for label, _ in group]
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(labels)
+    for label, line in zip(labels, lines):
+        assert line.startswith(label + " "), line
+        json.loads(line[len(label) + 1:])
+
+
 if __name__ == "__main__":
     which = sys.argv[1]
     if which == "dump":

@@ -374,11 +374,14 @@ def test_member_scan_after_an_unclosed_angle_is_linear():
 
 
 def test_class_lines_are_found_in_linear_time():
-    # The parser asks for each class's first and last line, in source order,
+    # Two costs that hide in C calls, which conftest.work cannot count. The
+    # parser asks for each class's first and last line, in source order,
     # and Tokens.line counts the newlines on from the token asked about last
-    # by a str.join, which conftest.work cannot count. Counting from the
-    # first token every time took time quadratic in the classes: 4 times the
-    # classes took 12 to 15 times as long, against 4 times.
+    # by a str.join. Counting from the first token every time took time
+    # quadratic in the classes: 4 times the classes took 12 to 15 times as
+    # long, against 4 times. And the body walker reads the class's attribute
+    # table in place: a set() copy of it for each method took time quadratic
+    # in a class of N fields and N methods, 10 to 16 times as long at 4 N.
     script = r"""
 import time
 from classaudit.javamodel import parse_compilation_unit
@@ -390,6 +393,10 @@ def nested(n):
     opening = "".join(f"class C{i} {{\n\n    int f{i};\n" for i in range(n))
     return opening + "}\n" * n
 
+def fields_and_methods(n):
+    return ("class A {\n" + "".join(f"  int f{i};\n" for i in range(n))
+            + "".join(f"  void m{i}() {{ f{i}++; }}\n" for i in range(n)) + "}\n")
+
 def best(text):
     times = []
     for _ in range(7):
@@ -398,7 +405,7 @@ def best(text):
         times.append(time.perf_counter() - started)
     return min(times)
 
-for shape, n in ((siblings, 500), (nested, 100)):
+for shape, n in ((siblings, 500), (nested, 100), (fields_and_methods, 1000)):
     print(best(shape(4 * n)) / best(shape(n)))
 """
     result = subprocess.run(
@@ -410,7 +417,7 @@ for shape, n in ((siblings, 500), (nested, 100)):
     )
     assert result.returncode == 0, result.stderr
     growth = [float(ratio) for ratio in result.stdout.split()]
-    assert len(growth) == 2 and max(growth) < 8, growth
+    assert len(growth) == 3 and max(growth) < 8, growth
 
 
 def test_two_top_level_classes():
@@ -425,6 +432,16 @@ def test_member_type_with_no_body_keeps_to_its_enclosing_body(keyword):
     units = flat(parse(f"class A {{ {keyword} B }}\nclass C {{ int x; }}"))
     assert [(c.qualified_name, c.attributes, c.line_span) for c in units] == [
         ("A", [], (1, 1)), ("C", ["x"], (2, 2))]
+
+
+@pytest.mark.parametrize("head", ["void f() throws E(", "void f("], ids=["throws", "params"])
+def test_method_head_keeps_to_its_enclosing_body(head):
+    # The '(' pairs with the ')' in B. Jumping it without a check against
+    # A's end found B's `{ if ... }` and read it as f's body.
+    code = f"class A {{ int y; {head} }} class B {{ int y; ) {{ if (y > 0) y = 1; }} }}"
+    a, b = parse(code)
+    assert [(m.name, m.accessed_attributes, m.events) for m in a.methods] == [("f", set(), [])]
+    assert b.attributes == ["y"]
 
 
 def test_top_level_type_with_no_body_is_a_parse_error():
