@@ -7,13 +7,14 @@ records) and strict outliers go; Dropped-labeled records go last. The four
 tallies always satisfy input = output + metric + quantile + label drops.
 """
 
+import io
 import math
 import os
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ._record import Record
 from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
@@ -130,7 +131,11 @@ def ingest_sources(
     diag = diagnostics if diagnostics is not None else Diagnostics()
     inputs = _list_sources(roots)
     if len(inputs) >= _FORK_MIN_FILES and _two_cpus_one_thread():
-        yield from _analyze_forked(inputs, rules, excluded_to, diag)
+        half = len(inputs) // 2
+        yield from _forked(
+            chain(_analyze(inputs[:half], rules, excluded_to, diag), [None],
+                  _analyze(inputs[half:], rules, excluded_to, diag)),
+            lambda part: _analyze(inputs[half:], rules, excluded_to, part), diag)
     else:
         yield from _analyze(inputs, rules, excluded_to, diag)
 
@@ -203,52 +208,79 @@ def _two_cpus_one_thread() -> bool:
             and threading.active_count() == 1)
 
 
-def _analyze_forked(inputs, rules: SuffixRules, excluded_to: str,
-                    diag: Diagnostics) -> Iterator[ClassRecord]:
-    """``_analyze`` of the inputs, the second half in one forked child,
-    which sends its records and diagnostics back in one pickle. This
-    process yields its own half as it goes, then the child's. If the child
-    fails, this process analyzes that half itself; if the generator is
-    closed or raises first, the child is killed."""
+# Records per pickle a forked child sends. The parent holds one chunk's
+# field tuples at a time, never all of the child's: a fresh `cam` pass
+# (40,000 rows) peaked at 41.3 MB serially and at 41.8 MB forked.
+_SEND_CHUNK = 1000
+
+
+def _forked(serial: Iterator[Optional[ClassRecord]], second,
+            diag: Diagnostics) -> Iterator[ClassRecord]:
+    """The records of ``serial``, a serial ingest that yields one None
+    where its second part begins, with that part read by one forked child:
+    ``second(part)`` yields the same records, its diagnostics in the
+    ``Diagnostics`` part. The child pickles them in chunks of field tuples
+    before it writes any, so that a full pipe does not leave the pickling
+    to the time this process waits for it. This process yields its own
+    part as it goes, then the child's. If ``serial`` ends without its
+    None, the child's records are not wanted; if the child fails, or no
+    pipe or process can be had, this process reads on itself. If the
+    generator is closed or raises first, the child is killed."""
     import pickle  # only a forked run sends records between processes
     import signal
 
-    half = len(inputs) // 2
-    read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:  # no process to be had: the run goes on in this one
-        os.close(read_fd)
-        os.close(write_fd)
-        yield from _analyze(inputs, rules, excluded_to, diag)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError:  # no descriptor or process to be had: the run goes on in this one
+        yield from (record for record in serial if record is not None)
         return
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
             part = Diagnostics()
-            records = list(_analyze(inputs[half:], rules, excluded_to, part))
+            fields = [(r.qualified_name, r.origin, r.metrics._fields(r.metrics), r.loc,
+                       r.blank_lines, r.label) for r in second(part)]
+            chunks = [pickle.dumps(fields[i:i + _SEND_CHUNK], pickle.HIGHEST_PROTOCOL)
+                      for i in range(0, len(fields), _SEND_CHUNK)]
             with open(write_fd, "wb") as pipe:
-                pickle.dump((records, part.files_seen, part.skipped, part.lines), pipe,
-                            pickle.HIGHEST_PROTOCOL)
+                pipe.write(pickle.dumps(
+                    (len(chunks), part.files_seen, part.rows_seen, part.skipped, part.lines)))
+                pipe.writelines(chunks)
             status = 0
         finally:
             os._exit(status)  # no atexit hooks, no flush of inherited buffers
     try:
         os.close(write_fd)
         with open(read_fd, "rb") as pipe:
-            yield from _analyze(inputs[:half], rules, excluded_to, diag)
-            try:
-                records, files_seen, skipped, lines = pickle.load(pipe)
-            except (EOFError, OSError, pickle.UnpicklingError):  # the child failed
-                records = None
-        # The pipe is closed, so a child still writing fails and exits.
-        _, status = os.waitpid(pid, 0)
-        pid = 0
-        if records is None or status != 0:
-            yield from _analyze(inputs[half:], rules, excluded_to, diag)
-            return
+            for record in serial:
+                if record is not None:
+                    yield record
+                    continue
+                # All that the child sent, one chunk at a time, and its exit
+                # status before any of it is yielded.
+                try:
+                    chunks, files_seen, rows_seen, skipped, lines = pickle.load(pipe)
+                    records = [ClassRecord(name, origin, ClassMetrics(*metrics), loc, blank, label)
+                               for _ in range(chunks)
+                               for name, origin, metrics, loc, blank, label in pickle.load(pipe)]
+                except (EOFError, OSError, pickle.UnpicklingError):  # the child failed
+                    records = None
+                pipe.close()  # so that a child still writing fails and exits
+                _, status = os.waitpid(pid, 0)
+                pid = 0
+                if records is not None and status == 0:
+                    break
+            else:  # read past the second part's start, or on after a failed child
+                return
         diag.files_seen += files_seen
+        diag.rows_seen += rows_seen
         diag.skipped += skipped
         diag.lines.extend(lines)
         yield from records
@@ -289,6 +321,18 @@ DEFAULT_CAM_COLUMN_MAP: Dict[str, str] = {
 }
 
 
+# CSVs from which the rows after the middle line go to one forked child.
+# Serial and forked reads of `cam`-workload CSVs, alternated 16 or 20 times
+# per set on a 2-CPU host: at 167 KB (2,500 rows) the fork lost all 20, by
+# 14 ms; from 337 to 675 KB it won most of some sets and lost most of
+# others; at 1 MB (15,000 rows) it won 13 to 17 of each set, by 17-26 ms
+# in the median. Where two busy processes share one CPU's time, it loses
+# at any size.
+_FORK_MIN_BYTES = 1 << 20
+
+_NO_STATIC_COLUMN = "no static-member column mapped; treating every class as static-free"
+
+
 def ingest_cam_csv(
     path: Union[str, os.PathLike],
     column_map: Dict[str, str],
@@ -308,7 +352,15 @@ def ingest_cam_csv(
     that are not UTF-8 (ParseError, the latter at line 0). As with
     csv.DictReader, blank rows are skipped and not counted, a short row's
     missing cells are empty, extra cells are ignored and a repeated header
-    name binds its last column.
+    name binds its last column. Without a `static` column the diagnostics
+    warn once, however many CSVs they tally.
+
+    A CSV of at least ``_FORK_MIN_BYTES``, with two CPUs to run on and no
+    other thread, is read in two processes: one forked child reads the rows
+    from the first line start past half the file's bytes that follows a
+    newline. Its records are taken only if this process's reader ends a row
+    exactly there; records and diagnostics are those of a serial read, in
+    the same order.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     for key in CAM_REQUIRED_KEYS:
@@ -318,8 +370,7 @@ def ingest_cam_csv(
 
     path = os.fspath(path)
     # A second handle reads a rejected row's lines again, forward only.
-    with open(path, "r", encoding="utf-8", newline="") as fh, \
-            open(path, "r", encoding="utf-8", newline="") as again:
+    with _open_at(path, 0) as fh, _open_at(path, 0) as again:
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}
@@ -331,50 +382,94 @@ def ingest_cam_csv(
             static_col = column_map.get("static")
             if static_col is not None and static_col not in index:
                 raise MissingColumn(f"CSV is missing column '{static_col}' (bound to 'static')")
-            if static_col is None:
-                diag.warnings.append(
-                    "no static-member column mapped; treating every class as static-free"
-                )
+            if static_col is None and _NO_STATIC_COLUMN not in diag.warnings:
+                diag.warnings.append(_NO_STATIC_COLUMN)
             columns = [column_map[key] for key in _CAM_CELL_ORDER]
             positions = [index[col] for col in columns]
             static_at = index.get(static_col)
             width = max(positions + [static_at or 0]) + 1
             cells_of = itemgetter(*positions)
-            skipped = 0  # lines read past the reader to the end of a rejected row
-            read_again = 0  # lines read from ``again``
-            start = reader.line_num + 1
-            while True:
-                try:
-                    for row in reader:
-                        lineno, start = start, reader.line_num + skipped + 1
-                        if not row:
-                            continue
+
+            def records(reader, fh, again, passed, stop, diag):
+                """The records of the rows ``reader`` reads from ``fh``, and
+                one None where the next row starts at file line ``stop``.
+                ``passed`` file lines are behind both handles; a rejected
+                row is read again from ``again``."""
+                # ``reader.line_num + passed`` is the file line read to:
+                # ``passed`` goes on to count the lines read past the
+                # reader to the end of a rejected row.
+                read_again = passed  # file lines ``again`` is past
+                start = reader.line_num + passed + 1
+                while True:
+                    try:
+                        for row in reader:
+                            lineno, start = start, reader.line_num + passed + 1
+                            if row:
+                                diag.rows_seen += 1
+                                if len(row) < width:
+                                    row += [""] * (width - len(row))
+                                has_static = static_at is not None and _truthy(row[static_at])
+                                try:
+                                    record = _row_to_record(cells_of(row), columns, has_static,
+                                                            path, lineno, rules, excluded_to)
+                                except RowParseError as exc:
+                                    diag.skip(path, lineno, str(exc))
+                                else:
+                                    yield record
+                            if start == stop:
+                                yield None
+                        return
+                    except csv.Error as exc:  # the reader goes on at the next line
                         diag.rows_seen += 1
-                        if len(row) < width:
-                            row += [""] * (width - len(row))
-                        has_static = static_at is not None and _truthy(row[static_at])
-                        try:
-                            record = _row_to_record(cells_of(row), columns, has_static, path,
-                                                    lineno, rules, excluded_to)
-                        except RowParseError as exc:
-                            diag.skip(path, lineno, str(exc))
-                            continue
-                        yield record
-                    break
-                except csv.Error as exc:  # the reader goes on at the next line
-                    diag.rows_seen += 1
-                    diag.skip(path, start, str(exc))
-                    last = reader.line_num + skipped
-                    row = "".join(islice(again, start - 1 - read_again, last - read_again))
-                    read_again = last
-                    skipped += _rest_of_row(row, fh)
-                    start = reader.line_num + skipped + 1
+                        diag.skip(path, start, str(exc))
+                        last = reader.line_num + passed
+                        row = "".join(islice(again, start - 1 - read_again, last - read_again))
+                        read_again = last
+                        passed += _rest_of_row(row, fh)
+                        start = reader.line_num + passed + 1
+                        if start == stop:
+                            yield None
+
+            size = os.fstat(fh.fileno()).st_size
+            split = (_split_line(path, size) if size >= _FORK_MIN_BYTES
+                     and _two_cpus_one_thread() else None)
+            if split is None or split[1] <= reader.line_num:  # none, or inside the header
+                yield from records(reader, fh, again, 0, 0, diag)
+                return
+            offset, lines = split
+
+            def second(part):
+                with _open_at(path, offset) as fh, _open_at(path, offset) as again:
+                    yield from records(csv.reader(fh), fh, again, lines, 0, part)
+
+            yield from _forked(records(reader, fh, again, 0, lines + 1, diag), second, diag)
         except UnicodeDecodeError as exc:
             # Decoded in chunks, so no row line is known.
             raise ParseError(path, 0, f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, "
                                       f"{exc.reason}") from None
         except csv.Error as exc:  # the header's; a row's is a SKIP above
             raise ParseError(path, reader.line_num, str(exc)) from None
+
+
+def _open_at(path: str, offset: int):
+    """A text handle on the CSV at ``path`` that reads from byte ``offset``,
+    a line start, splitting lines at each \\n, \\r\\n and bare \\r as the
+    csv module wants them split."""
+    raw = open(path, "rb")
+    raw.seek(offset)
+    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+
+
+def _split_line(path: str, size: int) -> Optional[Tuple[int, int]]:
+    """The first line start past half of the file's ``size`` bytes that
+    follows a \\n, and the number of lines before it, counted as
+    ``_open_at`` splits them; None when no line starts there."""
+    with open(path, "rb") as fh:
+        head = fh.read(size // 2)
+        head += fh.readline()
+    if len(head) >= size:
+        return None
+    return len(head), head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
 
 
 # The text of a CSV row that ends inside a quoted cell, as the csv module

@@ -188,6 +188,19 @@ def test_cam_mode_csv_not_utf8_is_an_error_line(tmp_path):
     assert err == f"error: {csv_path}:0: not valid UTF-8: byte 0xff, invalid start byte\n"
 
 
+def test_two_csvs_without_a_static_column_warn_once(tmp_path):
+    header = "class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for i, path in enumerate(paths):
+        path.write_text(header + f"p.C{i}Manager,0.5,0.7,3,4,2.0,3,1,100,10\n")
+    code, out, err = run_cli(["--mode=cam", *(f"--input={path}" for path in paths),
+                              "--format=json"])
+    assert code == 0
+    assert json.loads(out)["pipeline"]["input"] == 2
+    assert err == ("WARN no static-member column mapped; "
+                   "treating every class as static-free\n")
+
+
 def test_multiple_inputs(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

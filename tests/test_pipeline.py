@@ -1,6 +1,7 @@
 """Ingestion, quantile filtering, and aggregation."""
 
 import csv
+import errno
 import io
 import os
 import random
@@ -474,9 +475,22 @@ def test_the_half_of_a_child_that_fails_is_analyzed_by_the_parent(tmp_path, monk
     root = two_halves(tmp_path, monkeypatch)
     serial = serial_ingest(root, monkeypatch)
     forks = count_forks(monkeypatch)
-    monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(1))  # only the child dumps
+    monkeypatch.setattr(pickle, "dumps", lambda *args: os._exit(1))  # only the child dumps
     assert ingest(root) == serial
     assert len(forks) == 1
+
+
+def test_ingest_without_a_pipe_stays_in_one_process(tmp_path, monkeypatch):
+    root = two_halves(tmp_path, monkeypatch)
+    serial = serial_ingest(root, monkeypatch)
+    forks = count_forks(monkeypatch)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert ingest(root) == serial
+    assert forks == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,7 +3,7 @@
 A fresh interpreter's start-up is most of a small audit, so modules that
 only some runs use are imported where those runs use them: ``json`` when a
 ``--cam-map`` is read or ``--format=json`` is written, ``csv`` when a CAM
-CSV is read, ``pickle`` when a large source ingest forks. The records are
+CSV is read, ``pickle`` when a large ingest forks. The records are
 plain slotted classes, so ``dataclasses`` (and ``inspect``, which it
 imports) is not loaded at all.
 """
