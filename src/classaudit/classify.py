@@ -18,7 +18,8 @@ from .errors import ConfigError
 
 DEFAULT_UTILS_SUFFIXES: Tuple[str, ...] = ("Utils", "Util", "Utilities", "Utility")
 
-DEFAULT_EROR_SUFFIXES: Tuple[str, ...] = ("er", "or")
+# The agent-noun tail that defines the study's ErOr group; not a setting.
+EROR_SUFFIXES: Tuple[str, ...] = ("er", "or")
 
 DEFAULT_EXCLUSION_SUFFIXES: Tuple[str, ...] = (
     "Inner", "Actor", "Logger", "Member", "Order", "Parameter",
@@ -50,20 +51,18 @@ class GroupLabel(FrozenRecord):
 
 
 class SuffixRules(FrozenRecord):
-    __slots__ = ("utils_suffixes", "eror_suffixes", "exclusion_suffixes")
+    __slots__ = ("utils_suffixes", "exclusion_suffixes")
 
     def __init__(
         self,
         utils_suffixes: Iterable[str] = DEFAULT_UTILS_SUFFIXES,
-        eror_suffixes: Iterable[str] = DEFAULT_EROR_SUFFIXES,
         exclusion_suffixes: Iterable[str] = DEFAULT_EXCLUSION_SUFFIXES,
     ):
         # str.endswith takes a tuple of suffixes, not a list
         object.__setattr__(self, "utils_suffixes", tuple(utils_suffixes))
-        object.__setattr__(self, "eror_suffixes", tuple(eror_suffixes))
         object.__setattr__(self, "exclusion_suffixes", tuple(exclusion_suffixes))
-        if not self.utils_suffixes or not self.eror_suffixes:
-            raise ValueError("suffix lists must be non-empty")
+        if not self.utils_suffixes:
+            raise ValueError("utils suffix list must be non-empty")
         if len(set(self.exclusion_suffixes)) != len(self.exclusion_suffixes):
             raise ValueError("exclusion suffixes must be unique")
 
@@ -79,9 +78,9 @@ def has_utils_suffix(name: str, rules: SuffixRules) -> bool:
     return name.endswith(rules.utils_suffixes)
 
 
-def has_eror_tail(name: str, rules: SuffixRules) -> bool:
+def has_eror_tail(name: str) -> bool:
     """Case-sensitive lowercase tail with at least one preceding character."""
-    return name[1:].endswith(rules.eror_suffixes)
+    return name[1:].endswith(EROR_SUFFIXES)
 
 
 def has_exclusion_suffix(name: str, rules: SuffixRules) -> bool:
@@ -99,7 +98,7 @@ def classify(
         raise ValueError("class name must be non-empty")
     if has_utils_suffix(name, rules):
         return _UTILS
-    if has_eror_tail(name, rules):
+    if has_eror_tail(name):
         if not has_exclusion_suffix(name, rules):
             return _EROR
         if excluded_to == EXCLUDED_TO_DROP:

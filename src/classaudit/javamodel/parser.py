@@ -249,9 +249,17 @@ class _UnitParser:
 
     def _skip_initializer(self, i: int, end: int) -> int:
         """Skip an initializer expression up to a ',' or ';' outside its
-        bracket groups, or to ``end``."""
-        while i < end and self.texts[i] not in (",", ";"):
-            i = max(self.match[i], i) + 1
+        bracket groups and the type arguments after a ``new`` or a ``.``,
+        or to ``end``; where those cannot be read, on from where reading stopped."""
+        texts, toks = self.texts, self.toks
+        while i < end and texts[i] not in (",", ";"):
+            if texts[i] == "new":
+                i = toks.read_type(i + 1, end)
+            elif texts[i] == "." and texts[i + 1] == "<":
+                i = toks.skip_angles(i + 1, end)
+            else:
+                i = max(self.match[i], i) + 1
+            i = max(i, ~i)  # at ``stop`` when read_type or skip_angles gave ``~stop``
         return min(i, end)
 
     def _parse_params(self, i: int, close: int):

@@ -1,5 +1,8 @@
 """Corpus pipeline: ingest classes, filter, aggregate per group.
 
+A CAM-style CSV's columns are named by `load_cam_map`: the default map,
+updated from a `--cam-map` JSON file when one is given.
+
 Filtering order matters and is frozen per run: records with any undefined
 metric go first; the 0.01/0.99 nearest-rank thresholds of ncloc are then
 computed over everything that remains (including still-Dropped-labeled
@@ -18,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, T
 
 from ._record import Record
 from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
-from .errors import EmptyInput, MissingColumn, ParseError, RowParseError
+from .errors import ConfigError, EmptyInput, MissingColumn, ParseError, RowParseError
 from .javamodel.parser import parse_compilation_unit
 from .metrics import ClassMetrics, class_metrics
 
@@ -301,12 +304,7 @@ def _flatten(classes):
         yield from _flatten(cls.nested)
 
 
-# Logical keys the CAM-style CSV column map must bind.
-CAM_REQUIRED_KEYS = (
-    "name", "lcom5", "nhd", "cc", "coco", "acoco", "mxcoco", "mncoco",
-    "loc", "blank",
-)
-
+# Logical keys to CAM-style CSV column names; a map binds every key.
 DEFAULT_CAM_COLUMN_MAP: Dict[str, str] = {
     "name": "class_name",
     "lcom5": "lcom5",
@@ -319,6 +317,33 @@ DEFAULT_CAM_COLUMN_MAP: Dict[str, str] = {
     "loc": "loc",
     "blank": "blanks",
 }
+
+CAM_REQUIRED_KEYS = tuple(DEFAULT_CAM_COLUMN_MAP)
+
+
+def load_cam_map(path: Optional[str]) -> Dict[str, str]:
+    """The default CAM column map, updated from the `--cam-map` file at
+    ``path`` if given. The file must be UTF-8 JSON holding one object that
+    maps keys of CAM_REQUIRED_KEYS or `static` to column names; anything
+    else raises ConfigError."""
+    column_map = dict(DEFAULT_CAM_COLUMN_MAP)
+    if path:
+        import json  # only a --cam-map run reads JSON
+
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError(f"{path}: {exc}") from None
+        if not (isinstance(overrides, dict)
+                and all(isinstance(v, str) for v in overrides.values())):
+            raise ConfigError(f"{path}: --cam-map must be a JSON object of column names")
+        for key in overrides:
+            if key not in CAM_REQUIRED_KEYS and key != "static":
+                raise ConfigError(f"{path}: unknown --cam-map key {key!r}; the keys are "
+                                  f"{', '.join(CAM_REQUIRED_KEYS)} and static")
+        column_map.update(overrides)
+    return column_map
 
 
 # CSVs from which the rows after the middle line go to one forked child.
@@ -534,17 +559,8 @@ def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to)
                        classify(simple, has_static, rules, excluded_to))
 
 
-# Both cell readers try float() on the raw cell first, as _row_to_record does
-# for a whole row: float() accepts the surrounding whitespace that strip()
-# removes, except the separators \x1c-\x1f, so only a failed cell is
-# stripped and tried once more.
-
-
 def _cell_float(raw: str, col: str) -> Optional[float]:
-    try:
-        return float(raw)
-    except ValueError:
-        raw = raw.strip()
+    raw = raw.strip()
     if raw == "":
         return None
     try:
@@ -555,21 +571,18 @@ def _cell_float(raw: str, col: str) -> Optional[float]:
 
 def _cell_count(raw: str, col: str, required=False) -> Optional[int]:
     """A whole-number cell ("3", "3.0", "3e2"); None when empty and optional."""
+    raw = raw.strip()
+    if raw == "":
+        if required:
+            raise RowParseError(f"missing value in column {col!r}")
+        return None
     try:
         value = float(raw)
     except ValueError:
-        raw = raw.strip()
-        if raw == "":
-            if required:
-                raise RowParseError(f"missing value in column {col!r}")
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan  # reported below as a bad integer
+        value = math.nan  # reported below as a bad integer
     if value.is_integer():  # false for nan and inf too
         return int(value)
-    raise RowParseError(f"bad integer value {raw.strip()!r} in column {col!r}")
+    raise RowParseError(f"bad integer value {raw!r} in column {col!r}")
 
 
 _TRUE_CELLS = frozenset(("1", "true", "yes", "y"))

@@ -25,7 +25,7 @@ from classaudit.classify import (
     SuffixRules,
     classify,
 )
-from classaudit.cli import RunConfig, run
+from classaudit.cli import config_from_args, run
 from classaudit.javamodel import parse_compilation_unit
 from classaudit.metrics import ClassMetrics, class_metrics, method_cc
 from classaudit.pipeline import (
@@ -375,17 +375,14 @@ def test_criterion_7_golden_end_to_end(corpus_dir, golden_dir, tmp_path, monkeyp
     results = {}
     for fmt in ("text", "csv", "json"):
         out, err = io.StringIO(), io.StringIO()
-        config = RunConfig(
-            mode="source",
-            inputs=[str(corpus_dir)],
-            output_format=fmt,
-            charts_dir=str(tmp_path / "charts") if fmt == "text" else None,
-        )
+        charts = [f"--charts={tmp_path / 'charts'}"] if fmt == "text" else []
+        config = config_from_args(
+            ["--mode=source", f"--input={corpus_dir}", f"--format={fmt}", *charts])
         code = run(config, out=out, err=err)
         assert code == 0
         results[fmt] = out.getvalue()
     styled = _Terminal()
-    assert run(RunConfig(mode="source", inputs=[str(corpus_dir)]),
+    assert run(config_from_args(["--mode=source", f"--input={corpus_dir}"]),
                out=styled, err=io.StringIO()) == 0
     results["styled"] = styled.getvalue()
     elapsed = time.perf_counter() - started

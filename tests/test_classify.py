@@ -165,7 +165,7 @@ def test_partition_property(name, static):
     # Utils and ErOr predicates are mutually exclusive after precedence
     if has_utils_suffix(name, RULES):
         assert label.kind is GroupKind.UTILS
-    elif has_eror_tail(name, RULES) and not has_exclusion_suffix(name, RULES):
+    elif has_eror_tail(name) and not has_exclusion_suffix(name, RULES):
         assert label.kind is GroupKind.EROR
 
 

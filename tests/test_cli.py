@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from classaudit import pipeline
-from classaudit.cli import RunConfig, config_from_args, main, run
+from classaudit.cli import config_from_args, main, run
 
 from conftest import child_env, fixture_copies, refuse_listing
 
@@ -38,7 +38,7 @@ def test_exit_one_on_bad_quantile_bounds(corpus_dir):
 
 def test_exit_one_on_missing_input(tmp_path):
     out, err = io.StringIO(), io.StringIO()
-    config = RunConfig(mode="source", inputs=[str(tmp_path / "absent")])
+    config = config_from_args(["--mode=source", f"--input={tmp_path / 'absent'}"])
     assert run(config, out=out, err=err) == 1
     assert "error:" in err.getvalue()
 

@@ -34,6 +34,7 @@ import pytest
 from conftest import child_env
 
 FIXTURES = sorted(Path(__file__).resolve().parent.joinpath("fixtures").rglob("*.java"))
+CORPUS = Path(__file__).resolve().parent / "fixtures" / "corpus" / "src"
 SEEDS = range(10)
 MUTANTS_PER_FIXTURE = 5
 BRACKETS = ["{", "}", "(", ")", "[", "]"]
@@ -199,24 +200,33 @@ def test_every_prefix_and_suffix_of_a_fixture_parses_or_skips():
     assert run_fuzz("cuts") == []
 
 
-def test_dump_prints_one_label_and_json_line_per_input():
+def test_dump_prints_one_label_and_json_line_per_input(tmp_path):
     # A change meant to keep behaviour is checked by diffing two checkouts'
-    # dumps, so the dump must run to the end and print every input.
-    result = subprocess.run(
-        [sys.executable, __file__, "dump", "1"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
+    # dumps, so the dump must run to the end and print every input, the
+    # same bytes under any hash seed, as an audit's report does.
+    def run_child(seed, *args):
+        result = subprocess.run([sys.executable, *args], capture_output=True,
+                                env=child_env(PYTHONHASHSEED=seed), timeout=60)
+        assert result.returncode == 0, result.stderr.decode()
+        return result.stdout
+
+    dumps = [run_child(seed, __file__, "dump", "1") for seed in ("0", "1")]
+    assert dumps[0] == dumps[1]
     groups = [sources("fixtures"), sources("cuts")] + [sources(0, a) for a in ALPHABETS]
     labels = [label for group in groups for label, _ in group]
-    lines = result.stdout.splitlines()
+    lines = dumps[0].decode().splitlines()
     assert len(lines) == len(labels)
     for label, line in zip(labels, lines):
         assert line.startswith(label + " "), line
         json.loads(line[len(label) + 1:])
+
+    runs = []
+    for seed in ("0", "1"):
+        diagnostics = tmp_path / f"diagnostics-{seed}"
+        report = run_child(seed, "-m", "classaudit.cli", "--mode=source", f"--input={CORPUS}",
+                           "--format=json", f"--diagnostics={diagnostics}")
+        runs.append((report, diagnostics.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":

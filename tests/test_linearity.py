@@ -10,7 +10,8 @@ few more tokens and phrases, in a class body and in a method body; nested
 classes; the benchmark's five `shapes` generators, loaded from
 `perfbench/workloads.py` by path; fields, parameters and locals of
 annotated generic types; constructors with annotated `throws` clauses,
-member record heads, and one field of many declarators.
+member record heads, one field of many declarators, and one initializer
+of many unclosed `.<` type argument lists.
 """
 
 import importlib.util
@@ -99,6 +100,8 @@ SHAPES = {
     "one field of N declarators": (
         lambda n: "class A { int " + ", ".join(f"a{i}[] = f({i}, {i})" for i in range(n)) + "; }",
         200),
+    "an initializer of N unclosed type argument lists": (
+        lambda n: "class A { int x = a" + ".<b" * n + "; int y; }", 200),
 }
 
 

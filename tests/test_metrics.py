@@ -53,6 +53,18 @@ def test_lcom5_undefined_cases():
     assert lcom5(make_class(2, [])) is None  # k = 0
 
 
+def test_lcom5_counts_no_field_from_an_initializer_type_argument():
+    (cls,) = parse_compilation_unit(
+        "class Tally {\n"
+        "    Map<String, Integer> counts = new HashMap<String, Integer>();\n"
+        "    int total;\n"
+        "    void add(String k) { counts.put(k, 1); total++; }\n"
+        "    int size() { return total; }\n"
+        "}\n")
+    assert cls.attributes == ["counts", "total"]
+    assert lcom5(cls) == 0.5  # (k - sum a(m) / l) / (k - 1) = (2 - 3/2) / 1
+
+
 def test_lcom5_never_negative_zero():
     value = lcom5(make_class(1, [{0}, {0}]))
     assert math.copysign(1.0, value) == 1.0

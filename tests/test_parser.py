@@ -176,9 +176,18 @@ def test_varargs_and_array_parameters_are_different_types():
 
 
 def test_multi_declarator_fields_and_initializers():
-    code = "class A { int a = 1, b, c = f(1, 2); Runnable r = () -> {}; }"
-    a = parse(code)[0]
-    assert a.attributes == ["a", "b", "c", "r"]
+    # A ',' among the type arguments of a `new` or of a generic call's
+    # `.<...>` does not end the initializer, and a '<' or '>' operator
+    # opens no type arguments.
+    for members, expected in (
+        ("int a = 1, b, c = f(1, 2); Runnable r = () -> {};", ["a", "b", "c", "r"]),
+        ("Map<K,V> m = new HashMap<K, V>(); int z;", ["m", "z"]),
+        ("Pair<A,B> p = Pair.<A, B>of(a, b), q;", ["p", "q"]),
+        ("Object o = new Foo<A, B>() { int x, y; }, n;", ["o", "n"]),
+        ("boolean b = x < y, c = y > z;", ["b", "c"]),
+        ("int[][] a = new int[3][4], b;", ["a", "b"]),
+    ):
+        assert parse(f"class A {{ {members} }}")[0].attributes == expected, members
 
 
 def test_field_with_anonymous_class_initializer():

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-import classaudit.cli  # noqa: F401  (each module defines record classes)
+import classaudit.classify  # noqa: F401  (each module defines record classes)
 import classaudit.javamodel.model  # noqa: F401
 import classaudit.metrics  # noqa: F401
 import classaudit.pipeline  # noqa: F401
