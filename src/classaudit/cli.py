@@ -35,6 +35,7 @@ def run(config: argparse.Namespace, out: TextIO = None, err: TextIO = None) -> i
     try:
         if not (0 <= config.q_low < config.q_high <= 1):
             raise ConfigError("quantile bounds must satisfy 0 <= q-low < q-high <= 1")
+        _check_distinct(config.inputs)
         rules = load_rules(config.rules_path) if config.rules_path else SuffixRules()
         diag = Diagnostics()
         if config.mode == "source":
@@ -80,6 +81,23 @@ def run(config: argparse.Namespace, out: TextIO = None, err: TextIO = None) -> i
     except (AuditError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
+
+
+def _check_distinct(inputs: List[str]):
+    """Raise ConfigError if an input, resolved with ``os.path.realpath``,
+    is another input or lies inside one: its files would count twice.
+    Roots are resolved, not the files under them."""
+    resolved = []
+    for given in inputs:
+        real = os.path.realpath(given)
+        for other, other_real in resolved:
+            if real == other_real:
+                raise ConfigError(f"--input {given} names the same path as --input {other}")
+            if real.startswith(os.path.join(other_real, "")):
+                raise ConfigError(f"--input {given} lies inside --input {other}")
+            if other_real.startswith(os.path.join(real, "")):
+                raise ConfigError(f"--input {other} lies inside --input {given}")
+        resolved.append((given, real))
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -55,6 +55,9 @@ class ClassMetrics(Record):
         self.l_types = l_types
 
     def has_undefined(self) -> bool:
+        """Whether any of the seven metrics is undefined. It reads the fields
+        by name alone, so `pipeline.ClassRecord`, which holds the same
+        fields, shares this function."""
         return (
             self.lcom5 is None
             or self.nhd is None
@@ -121,15 +124,6 @@ def class_metrics(cls: SourceClass) -> ClassMetrics:
         coco_avg = math.fsum(cocos) / k
         coco_min = min(cocos)
         coco_max = max(cocos)
-    return ClassMetrics(
-        lcom5=lcom5(cls),
-        nhd=_nhd(k, uses),
-        cc_total=sum(ccs),
-        coco_total=sum(cocos),
-        coco_avg=coco_avg,
-        coco_min=coco_min,
-        coco_max=coco_max,
-        k=k,
-        l_attr=len(cls.attributes),
-        l_types=len(uses),
-    )
+    # Positional: half the cost of a keyword call.
+    return ClassMetrics(lcom5(cls), _nhd(k, uses), sum(ccs), sum(cocos), coco_avg, coco_min,
+                        coco_max, k, len(cls.attributes), len(uses))

@@ -26,17 +26,47 @@ from .javamodel.parser import parse_compilation_unit
 from .metrics import ClassMetrics, class_metrics
 
 
-class ClassRecord(Record):
-    __slots__ = ("qualified_name", "origin", "metrics", "loc", "blank_lines", "label")
+# A ClassMetrics' ten fields, read from it or from a ClassRecord.
+_metric_fields = ClassMetrics._fields
 
-    def __init__(self, qualified_name: str, origin: str, metrics: ClassMetrics, loc: int,
-                 blank_lines: int, label: GroupLabel):
+
+class ClassRecord(Record):
+    """One class: its name, where it was read, the ten fields of its
+    ClassMetrics in their order, its lines and its group label. The metric
+    fields are held flat, so that a record is one object to build, send and
+    read; `metrics` builds a ClassMetrics of them on each access."""
+
+    __slots__ = ("qualified_name", "origin", *ClassMetrics.__slots__, "loc", "blank_lines",
+                 "label")
+
+    def __init__(self, qualified_name: str, origin: str, lcom5: Optional[float],
+                 nhd: Optional[float], cc_total: Optional[int], coco_total: Optional[int],
+                 coco_avg: Optional[float], coco_min: Optional[int], coco_max: Optional[int],
+                 k: int, l_attr: int, l_types: int, loc: int, blank_lines: int,
+                 label: GroupLabel):
         self.qualified_name = qualified_name
         self.origin = origin
-        self.metrics = metrics
+        self.lcom5 = lcom5
+        self.nhd = nhd
+        self.cc_total = cc_total
+        self.coco_total = coco_total
+        self.coco_avg = coco_avg
+        self.coco_min = coco_min
+        self.coco_max = coco_max
+        self.k = k
+        self.l_attr = l_attr
+        self.l_types = l_types
         self.loc = loc
         self.blank_lines = blank_lines
         self.label = label
+
+    has_undefined = ClassMetrics.has_undefined
+
+    @property
+    def metrics(self) -> ClassMetrics:
+        """A new ClassMetrics of the record's metric fields: writing to it
+        changes nothing in the record."""
+        return ClassMetrics(*_metric_fields(self))
 
     @property
     def ncloc(self) -> int:
@@ -177,14 +207,9 @@ def _analyze(inputs, rules: SuffixRules, excluded_to: str,
             text = _read_text(path)
             classes = parse_compilation_unit(text, path)
             records = [
-                ClassRecord(
-                    qualified_name=cls.qualified_name,
-                    origin=path,
-                    metrics=class_metrics(cls),
-                    loc=cls.loc,
-                    blank_lines=cls.blank_lines,
-                    label=classify(cls.name, cls.has_static_member, rules, excluded_to),
-                )
+                ClassRecord(cls.qualified_name, path, *_metric_fields(class_metrics(cls)),
+                            cls.loc, cls.blank_lines,
+                            classify(cls.name, cls.has_static_member, rules, excluded_to))
                 for cls in _flatten(classes)
             ]
         except ParseError as exc:
@@ -248,8 +273,7 @@ def _forked(serial: Iterator[Optional[ClassRecord]], second,
         try:
             os.close(read_fd)
             part = Diagnostics()
-            fields = [(r.qualified_name, r.origin, r.metrics._fields(r.metrics), r.loc,
-                       r.blank_lines, r.label) for r in second(part)]
+            fields = list(map(ClassRecord._fields, second(part)))
             chunks = [pickle.dumps(fields[i:i + _SEND_CHUNK], pickle.HIGHEST_PROTOCOL)
                       for i in range(0, len(fields), _SEND_CHUNK)]
             with open(write_fd, "wb") as pipe:
@@ -270,9 +294,8 @@ def _forked(serial: Iterator[Optional[ClassRecord]], second,
                 # status before any of it is yielded.
                 try:
                     chunks, files_seen, rows_seen, skipped, lines = pickle.load(pipe)
-                    records = [ClassRecord(name, origin, ClassMetrics(*metrics), loc, blank, label)
-                               for _ in range(chunks)
-                               for name, origin, metrics, loc, blank, label in pickle.load(pipe)]
+                    records = [ClassRecord(*fields)
+                               for _ in range(chunks) for fields in pickle.load(pipe)]
                 except (EOFError, OSError, pickle.UnpicklingError):  # the child failed
                     records = None
                 pipe.close()  # so that a child still writing fails and exits
@@ -539,9 +562,8 @@ def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to)
     else:
         if (loc.is_integer() and blank.is_integer() and cc.is_integer()
                 and coco.is_integer() and mxcoco.is_integer() and mncoco.is_integer()):
-            metrics = ClassMetrics(lcom5, nhd, int(cc), int(coco), acoco, int(mncoco),
-                                   int(mxcoco), 0, 0, 0)
-            return ClassRecord(name, f"{path}:{lineno}", metrics, int(loc), int(blank),
+            return ClassRecord(name, f"{path}:{lineno}", lcom5, nhd, int(cc), int(coco), acoco,
+                               int(mncoco), int(mxcoco), 0, 0, 0, int(loc), int(blank),
                                classify(simple, has_static, rules, excluded_to))
     (_, loc_col, blank_col, lcom5_col, nhd_col, cc_col, coco_col, acoco_col,
      mxcoco_col, mncoco_col) = columns
@@ -554,9 +576,8 @@ def _row_to_record(cells, columns, has_static, path, lineno, rules, excluded_to)
     acoco = _cell_float(cells[7], acoco_col)
     mxcoco = _cell_count(cells[8], mxcoco_col)
     mncoco = _cell_count(cells[9], mncoco_col)
-    metrics = ClassMetrics(lcom5, nhd, cc, coco, acoco, mncoco, mxcoco, 0, 0, 0)
-    return ClassRecord(name, f"{path}:{lineno}", metrics, loc, blank,
-                       classify(simple, has_static, rules, excluded_to))
+    return ClassRecord(name, f"{path}:{lineno}", lcom5, nhd, cc, coco, acoco, mncoco, mxcoco,
+                       0, 0, 0, loc, blank, classify(simple, has_static, rules, excluded_to))
 
 
 def _cell_float(raw: str, col: str) -> Optional[float]:
@@ -633,13 +654,14 @@ def filter_records(
 ) -> FilterOutcome:
     """Apply the three drops in order; thresholds are computed once."""
     materialized = list(records)
-    with_metrics = [r for r in materialized if not r.metrics.has_undefined()]
+    with_metrics = [r for r in materialized if not r.has_undefined()]
     dropped_by_metric = len(materialized) - len(with_metrics)
     if with_metrics:
-        population = sorted(r.ncloc for r in with_metrics)
+        nclocs = [r.loc - r.blank_lines for r in with_metrics]
+        population = sorted(nclocs)
         lo = quantile(population, q_low)
         hi = quantile(population, q_high)
-        in_bounds = [r for r in with_metrics if lo <= r.ncloc <= hi]
+        in_bounds = [r for r, ncloc in zip(with_metrics, nclocs) if lo <= ncloc <= hi]
     else:
         lo = hi = None
         in_bounds = []
@@ -678,20 +700,20 @@ def aggregate_groups(records: Iterable[ClassRecord]) -> List[GroupSummary]:
                 class_count=count,
                 loc_total=loc_total,
                 loc_per_class=(loc_total / count) if count else None,
-                lcom5_mean=_mean([r.metrics.lcom5 for r in group]),
-                nhd_mean=_mean([r.metrics.nhd for r in group]),
-                cc_mean=_mean([r.metrics.cc_total for r in group]),
-                coco_mean=_mean([r.metrics.coco_total for r in group]),
-                acoco_mean=_mean([r.metrics.coco_avg for r in group]),
-                mxcoco_mean=_mean([r.metrics.coco_max for r in group]),
-                mncoco_mean=_mean([r.metrics.coco_min for r in group]),
+                lcom5_mean=_mean([r.lcom5 for r in group]),
+                nhd_mean=_mean([r.nhd for r in group]),
+                cc_mean=_mean([r.cc_total for r in group]),
+                coco_mean=_mean([r.coco_total for r in group]),
+                acoco_mean=_mean([r.coco_avg for r in group]),
+                mxcoco_mean=_mean([r.coco_max for r in group]),
+                mncoco_mean=_mean([r.coco_min for r in group]),
             )
         )
     return summaries
 
 
-def _mean(values) -> Optional[float]:
-    defined = [v for v in values if v is not None]
+def _mean(values: list) -> Optional[float]:
+    defined = values if None not in values else [v for v in values if v is not None]
     if not defined:
         return None
     return math.fsum(defined) / len(defined)

@@ -27,7 +27,7 @@ from classaudit.classify import (
 )
 from classaudit.cli import config_from_args, run
 from classaudit.javamodel import parse_compilation_unit
-from classaudit.metrics import ClassMetrics, class_metrics, method_cc
+from classaudit.metrics import class_metrics, method_cc
 from classaudit.pipeline import (
     ClassRecord,
     DEFAULT_CAM_COLUMN_MAP,
@@ -237,11 +237,9 @@ def _synthetic_record(i, ncloc, kind):
     return ClassRecord(
         qualified_name=f"p.C{i}",
         origin="synthetic",
-        metrics=ClassMetrics(
-            lcom5=(i % 7) / 7.0, nhd=(i % 5) / 5.0, cc_total=1 + i % 9,
-            coco_total=i % 13, coco_avg=(i % 13) / 2.0,
-            coco_min=i % 3, coco_max=i % 13, k=2, l_attr=1, l_types=1,
-        ),
+        lcom5=(i % 7) / 7.0, nhd=(i % 5) / 5.0, cc_total=1 + i % 9,
+        coco_total=i % 13, coco_avg=(i % 13) / 2.0,
+        coco_min=i % 3, coco_max=i % 13, k=2, l_attr=1, l_types=1,
         loc=ncloc + 2,
         blank_lines=2,
         label=GroupLabel(kind),

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from classaudit.classify import EXCLUDED_TO_REST, SuffixRules, classify
 from classaudit.errors import MissingColumn, RowParseError
-from classaudit.metrics import ClassMetrics
 from classaudit.pipeline import (
     _OPEN_QUOTED_CELL,
     CAM_REQUIRED_KEYS,
@@ -88,15 +87,12 @@ def _row_to_record(row, column_map, static_col, path, lineno, rules, excluded_to
     has_static = False
     if static_col is not None:
         has_static = _truthy(row.get(static_col) or "")  # the first fix
-    metrics = ClassMetrics(
-        lcom5=lcom5_v, nhd=nhd_v, cc_total=cc_v, coco_total=coco_v,
-        coco_avg=acoco_v, coco_min=mncoco_v, coco_max=mxcoco_v,
-        k=0, l_attr=0, l_types=0,
-    )
     return ClassRecord(
         qualified_name=name,
         origin=f"{path}:{lineno}",
-        metrics=metrics,
+        lcom5=lcom5_v, nhd=nhd_v, cc_total=cc_v, coco_total=coco_v,
+        coco_avg=acoco_v, coco_min=mncoco_v, coco_max=mxcoco_v,
+        k=0, l_attr=0, l_types=0,
         loc=loc,
         blank_lines=blank,
         label=classify(simple, has_static, rules, excluded_to),

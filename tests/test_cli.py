@@ -214,6 +214,52 @@ def test_multiple_inputs(tmp_path):
     assert doc["pipeline"]["input"] == 2
 
 
+def test_a_root_named_twice_is_an_error_line(corpus_dir):
+    code, out, err = run_cli(["--mode=source", f"--input={corpus_dir}",
+                              f"--input={corpus_dir}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: --input {corpus_dir} names the same path as --input {corpus_dir}\n"
+
+
+@pytest.mark.parametrize("inner_first", [False, True])
+def test_a_root_inside_another_is_an_error_line(fixtures_dir, corpus_dir, inner_first):
+    roots = [corpus_dir, fixtures_dir] if inner_first else [fixtures_dir, corpus_dir]
+    code, out, err = run_cli(["--mode=source", *(f"--input={root}" for root in roots)])
+    assert (code, out) == (1, "")
+    assert err == f"error: --input {corpus_dir} lies inside --input {fixtures_dir}\n"
+
+
+def test_a_root_reached_through_a_link_is_the_same_root(tmp_path, corpus_dir):
+    link = tmp_path / "link"
+    link.symlink_to(corpus_dir, target_is_directory=True)
+    code, out, err = run_cli(["--mode=source", f"--input={corpus_dir}", f"--input={link}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: --input {link} names the same path as --input {corpus_dir}\n"
+
+
+def test_a_csv_named_twice_is_an_error_line(tmp_path):
+    csv_path = tmp_path / "cam.csv"
+    csv_path.write_text("class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks\n"
+                        "p.CManager,0.5,0.7,3,4,2.0,3,1,100,10\n")
+    code, out, err = run_cli(["--mode=cam", f"--input={csv_path}",
+                              f"--input={tmp_path}/../{tmp_path.name}/cam.csv"])
+    assert (code, out) == (1, "")
+    assert err == (f"error: --input {tmp_path}/../{tmp_path.name}/cam.csv names the same "
+                   f"path as --input {csv_path}\n")
+
+
+def test_sibling_roots_sharing_a_name_prefix_both_count(tmp_path):
+    # `a-b` starts with `a` but does not lie inside it.
+    for name in ("a", "a-b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "One.java").write_text(
+            "class One { int x; void f() { x = 1; } void g() { x = 2; } }")
+    code, out, _ = run_cli(["--mode=source", f"--input={tmp_path / 'a'}",
+                            f"--input={tmp_path / 'a-b'}", "--format=json"])
+    assert code == 0
+    assert json.loads(out)["pipeline"]["input"] == 2
+
+
 def test_installed_entry_point(corpus_dir, tmp_path):
     # The env is minimal on purpose; PYTHONPATH only points the child at the
     # classaudit this process imported.

@@ -253,8 +253,8 @@ def test_unbalanced_braces_raise_parse_error():
         parse("class A { void f() { }")
 
 
-def test_parse_is_deterministic():
-    code = open(__file__.replace("test_parser.py", "fixtures/metrics/BranchCascade.java")).read()
+def test_parse_is_deterministic(metrics_dir):
+    code = (metrics_dir / "BranchCascade.java").read_text()
     first = parse(code)
     second = parse(code)
     assert repr(first) == repr(second)

@@ -10,6 +10,8 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from classaudit import pipeline
 from classaudit.classify import GroupKind, GroupLabel
 from classaudit.errors import EmptyInput, MissingColumn, ParseError
-from classaudit.metrics import ClassMetrics
+from classaudit.javamodel import parse_compilation_unit
+from classaudit.metrics import ClassMetrics, class_metrics
 from classaudit.pipeline import (
     ClassRecord,
     DEFAULT_CAM_COLUMN_MAP,
@@ -40,10 +43,8 @@ def record(name="C", label=GroupKind.REST, ncloc=10, lcom5=0.5, nhd=0.5,
     return ClassRecord(
         qualified_name=name,
         origin="synthetic",
-        metrics=ClassMetrics(
-            lcom5=lcom5, nhd=nhd, cc_total=cc, coco_total=coco,
-            coco_avg=avg, coco_min=lo, coco_max=hi, k=2, l_attr=1, l_types=1,
-        ),
+        lcom5=lcom5, nhd=nhd, cc_total=cc, coco_total=coco,
+        coco_avg=avg, coco_min=lo, coco_max=hi, k=2, l_attr=1, l_types=1,
         loc=loc,
         blank_lines=blank,
         label=GroupLabel(label) if isinstance(label, GroupKind) else label,
@@ -127,7 +128,7 @@ def test_conservation_tallies():
         r = record(name=f"C{i}", ncloc=rng.randint(1, 10_000),
                    label=rng.choice([GroupKind.EROR, GroupKind.UTILS, GroupKind.REST]))
         if rng.random() < 0.05:
-            r.metrics.lcom5 = None
+            r.lcom5 = None
         if rng.random() < 0.05:
             r.label = GroupLabel(GroupKind.DROPPED, "static-member")
         records.append(r)
@@ -232,10 +233,20 @@ def test_records_are_slotted_and_copy_field_wise():
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             obj.not_a_field = 1
-    moved = copy_with(rec, origin="x:3", metrics=copy_with(rec.metrics, cc_total=9))
-    assert (moved.origin, moved.metrics.cc_total, rec.metrics.cc_total) == ("x:3", 9, 3)
-    assert field_view(moved)["metrics"] == field_view(moved.metrics)
-    assert field_view(moved)["metrics"]["cc_total"] == 9
+    moved = copy_with(rec, origin="x:3", cc_total=9)
+    assert (moved.origin, moved.cc_total, rec.cc_total) == ("x:3", 9, 3)
+    assert moved.metrics == copy_with(rec.metrics, cc_total=9)
+    assert field_view(moved)["cc_total"] == 9
+
+
+def test_record_metrics_is_a_copy_of_its_fields():
+    rec = record(cc=3, lcom5=None)
+    assert rec.metrics == ClassMetrics(None, 0.5, 3, 2, 1.0, 0, 2, 2, 1, 1)
+    assert rec.metrics is not rec.metrics
+    rec.metrics.cc_total = 9  # lost with the copy
+    assert rec.cc_total == 3 and rec.metrics.cc_total == 3
+    assert rec.has_undefined() and rec.metrics.has_undefined()
+    assert ClassRecord.has_undefined is ClassMetrics.has_undefined
 
 
 # ---- ingest_sources -------------------------------------------------------------------
@@ -251,6 +262,19 @@ def test_ingest_fixture_tree(corpus_dir, expected_corpus):
     assert len(records) == 9
     expected_names = {c["qualified_name"] for c in expected_corpus["classes"]}
     assert {r.qualified_name for r in records} == expected_names
+
+
+def test_a_source_record_holds_its_class_metrics(fixtures_dir):
+    records = list(ingest_sources([fixtures_dir]))
+    pairs = []
+    for path, group in groupby(records, key=attrgetter("origin")):
+        classes = parse_compilation_unit(pipeline._read_text(path), path)
+        want = [(c.qualified_name, class_metrics(c)) for c in pipeline._flatten(classes)]
+        got = [(r.qualified_name, r.metrics) for r in group]
+        assert got == want
+        pairs += got
+    assert len(pairs) == len(records) > 20
+    assert all(type(m) is ClassMetrics for _, m in pairs)
 
 
 def test_ingest_isolates_malformed_files(tmp_path):
@@ -544,6 +568,17 @@ def test_cam_csv_three_rows(tmp_path):
     kinds = [r.label.kind for r in records]
     assert kinds == [GroupKind.EROR, GroupKind.UTILS, GroupKind.REST]
     assert records[0].ncloc == 90
+
+
+def test_a_cam_record_holds_its_row_metrics(tmp_path):
+    path = write_csv(tmp_path, [
+        "a.b.Manager,0.5,0.7,3,4,2.0,3,1,100,10,false\n",  # read at once
+        "a.b.Widget,,0.2,2.0,2,1.5,5,1,40,4,false\n",  # read cell by cell
+    ])
+    assert [r.metrics for r in ingest_cam_csv(path, CSV_MAP)] == [
+        ClassMetrics(0.5, 0.7, 3, 4, 2.0, 1, 3, 0, 0, 0),
+        ClassMetrics(None, 0.2, 2, 2, 1.5, 1, 5, 0, 0, 0),
+    ]
 
 
 def test_cam_csv_empty_metric_cell_is_undefined(tmp_path):
