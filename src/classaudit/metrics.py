@@ -23,8 +23,7 @@ the pipeline's job.
 """
 
 import math
-from collections import Counter
-from typing import Optional
+from typing import Dict, Optional
 
 from ._record import Record
 from .javamodel.model import (
@@ -82,7 +81,7 @@ def nhd(cls: SourceClass) -> Optional[float]:
     return _nhd(len(cls.methods), _type_uses(cls))
 
 
-def _nhd(k: int, uses: Counter) -> Optional[float]:
+def _nhd(k: int, uses: Dict[str, int]) -> Optional[float]:
     l = len(uses)
     if k < 2 or l == 0:
         return None
@@ -90,12 +89,14 @@ def _nhd(k: int, uses: Counter) -> Optional[float]:
     return 1.0 - (2.0 / (l * k * (k - 1))) * sigma + 0.0
 
 
-def _type_uses(cls: SourceClass) -> Counter:
+def _type_uses(cls: SourceClass) -> Dict[str, int]:
     """For each distinct parameter type, the number of methods with at least
-    one parameter of that type."""
-    uses: Counter = Counter()
+    one parameter of that type. A plain dict: `Counter` and its `update`
+    are Python code, paid once per class and once per method."""
+    uses: Dict[str, int] = {}
     for m in cls.methods:
-        uses.update(set(m.parameter_types))
+        for t in set(m.parameter_types):
+            uses[t] = uses.get(t, 0) + 1
     return uses
 
 

@@ -16,7 +16,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ._record import Record
@@ -175,23 +175,78 @@ def ingest_sources(
 
 def _list_sources(roots) -> List[Union[str, OSError]]:
     """The .java paths under the roots in sorted walk order, with the error
-    of each subdirectory that cannot be listed where the walk met it."""
+    of each subdirectory that cannot be listed where the walk met it.
+
+    The order is that of a top-down `os.walk` with sorted names: a
+    directory's files, then each subdirectory's listing. Directory
+    symlinks are not followed. One `os.scandir` lists each directory, and
+    its entries tell which names are directories and which are symlinks;
+    a root that cannot be listed raises. A `.java` symlink that reaches a
+    listed file, or the target of an earlier such link, is left out (see
+    `_without_repeated_links`)."""
     inputs: List[Union[str, OSError]] = []
-
-    def unlisted(exc: OSError):
-        if exc.filename == root:  # os.walk lists the root by the name given
-            raise exc
-        inputs.append(exc)
-
+    links: List[int] = []  # the indices in inputs of .java symlinks
     for root in roots:
         root = os.fspath(root)
         if not os.path.isdir(root):
             raise FileNotFoundError(f"input root is not a directory: {root}")
-        for dirpath, dirnames, filenames in os.walk(root, onerror=unlisted):
-            dirnames.sort()
-            inputs.extend(os.path.join(dirpath, fname) for fname in sorted(filenames)
-                          if fname.endswith(".java"))
-    return inputs
+        pending = [root]  # directories still to list, the next one last
+        while pending:
+            top = pending.pop()
+            try:
+                with os.scandir(top) as listing:
+                    entries = sorted(listing, key=attrgetter("name"))
+            except OSError as exc:
+                if top is root:
+                    raise
+                inputs.append(exc)
+                continue
+            subdirs = []
+            for entry in entries:
+                try:
+                    is_dir = entry.is_dir()
+                except OSError:  # as os.walk reads it: not a directory
+                    is_dir = False
+                if is_dir:
+                    if not entry.is_symlink():
+                        subdirs.append(entry.path)
+                elif entry.name.endswith(".java"):
+                    if entry.is_symlink():
+                        links.append(len(inputs))
+                    inputs.append(entry.path)
+            pending.extend(reversed(subdirs))
+    return _without_repeated_links(inputs, links) if links else inputs
+
+
+def _without_repeated_links(inputs: List[Union[str, OSError]],
+                            links: List[int]) -> List[Union[str, OSError]]:
+    """``inputs`` less each `.java` symlink, at an index in ``links``, whose
+    target is a listed file that is no link, or the target of a link listed
+    before it. Files are the same when `os.path.samestat` would say so:
+    their `os.stat` results share device and inode. A link that cannot be
+    followed stays, to be reported where it is read."""
+    linked = set(links)
+    seen = set()
+    for i, path in enumerate(inputs):
+        if i not in linked and isinstance(path, str):
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            seen.add((st.st_dev, st.st_ino))
+    kept = []
+    for i, path in enumerate(inputs):
+        if i in linked:
+            try:
+                st = os.stat(path)
+            except OSError:
+                kept.append(path)
+                continue
+            if (st.st_dev, st.st_ino) in seen:
+                continue
+            seen.add((st.st_dev, st.st_ino))
+        kept.append(path)
+    return kept
 
 
 def _analyze(inputs, rules: SuffixRules, excluded_to: str,
@@ -316,9 +371,41 @@ def _forked(serial: Iterator[Optional[ClassRecord]], second,
             os.waitpid(pid, 0)
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# Bytes per os.read: most sources take one read and the read that finds EOF.
+_READ_SIZE = 1 << 16
+_BOM = b"\xef\xbb\xbf"
+
+
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+    """The text of the file at ``path``, or the exception, that
+    `open(path, encoding="utf-8-sig").read()` gives, read with no file
+    object: a UTF-8 BOM is stripped (a file of a BOM's first one or two
+    bytes reads empty, as there), the rest is decoded strictly, so that a
+    decode error's position counts from after the BOM, and `\\r\\n` and a
+    lone `\\r` read as `\\n`. An error of `os.read`, such as reading a
+    directory, carries no filename, so it is raised again with the path,
+    as `open` names it."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while True:
+            try:
+                chunk = os.read(fd, _READ_SIZE)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    if data.startswith(_BOM) or _BOM.startswith(data):
+        data = data[3:]
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _flatten(classes):

@@ -422,6 +422,54 @@ def test_ingest_non_java_files_ignored(tmp_path):
     assert list(ingest_sources([tmp_path])) == []
 
 
+def origins(roots):
+    diag = Diagnostics()
+    records = list(ingest_sources(roots, diagnostics=diag))
+    assert diag.skipped == 0
+    return [r.origin for r in records]
+
+
+def test_a_java_link_to_a_file_of_another_root_counts_once(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (b / "X.java").write_text("class X { }")
+    os.symlink(os.path.join("..", "b", "X.java"), a / "Y.java")
+    assert origins([a, b]) == [str(b / "X.java")]
+
+
+def linked_outside(tmp_path):
+    """A root ``r`` with a subdirectory, and ``X.java`` beside it."""
+    (tmp_path / "X.java").write_text("class X { }")
+    root = tmp_path / "r"
+    (root / "sub").mkdir(parents=True)
+    return root, tmp_path / "X.java"
+
+
+def test_a_java_link_to_a_file_outside_every_root_counts(tmp_path):
+    root, target = linked_outside(tmp_path)
+    os.symlink(target, root / "sub" / "Y.java")
+    assert origins([root]) == [str(root / "sub" / "Y.java")]
+
+
+def test_java_links_to_one_file_outside_every_root_count_once(tmp_path):
+    # The first in walk order stays: a directory's files come before its
+    # subdirectories' files.
+    root, target = linked_outside(tmp_path)
+    os.symlink(target, root / "sub" / "Y.java")
+    os.symlink(target, root / "Z.java")
+    os.symlink(root / "Z.java", root / "sub" / "A.java")  # a link to that link
+    assert origins([root]) == [str(root / "Z.java")]
+
+
+def test_a_broken_java_link_is_still_reported(tmp_path):
+    os.symlink(tmp_path / "Missing.java", tmp_path / "Y.java")
+    diag = Diagnostics()
+    assert list(ingest_sources([tmp_path], diagnostics=diag)) == []
+    path = tmp_path / "Y.java"
+    assert diag.lines == [f"SKIP {path}:0 [Errno 2] No such file or directory: '{path}'"]
+
+
 # ---- ingest_sources in two processes ------------------------------------------------
 
 def two_halves(root, monkeypatch):
