@@ -42,7 +42,10 @@ only after testing it for something neither ``}`` nor ``""`` is, so no read
 goes beyond ``span.stop`` and the walk sees the body as if it were all there
 is. The token before the cursor reads as ``""`` at ``span.start``. A bracket
 partner outside the body reads -1, which is the body's own table (see
-``tokens``).
+``tokens``). ``parse_expr`` steps over, in its own loop and with no call,
+every token it does not handle by text unless it is an identifier that is
+an attribute not yet accessed, the method's name or ``this``, or one before
+``->``: no other can add an access or an event.
 """
 
 from typing import Container, List, Sequence, Set, Tuple
@@ -376,16 +379,27 @@ class _BodyWalker:
         level deeper (a ternary chain needs no recursion) up to a ','.
         """
         texts, idents, end = self.texts, self.idents, self.end
+        attrs, method_name, accessed = self.attrs, self.method_name, self.accessed
         last_bool = None
         resume = None  # (stop, depth) that a ',' after a ternary goes back to
         while self.i < end:
             i = self.i
             t = texts[i]
             if t not in _EXPR_SPECIAL and t not in stop:
-                if idents[i] is not None:
-                    self._expr_ident(depth, stop)
-                else:
-                    self.i = i + 1
+                # Step over what can add no access or event (module docstring).
+                while True:
+                    if idents[i] is not None and (
+                            t in attrs and t not in accessed or t == method_name or t == "this"
+                            or texts[i + 1] == "->"):
+                        self.i = i
+                        self._expr_ident(depth, stop)
+                        i = self.i
+                    else:
+                        i += 1
+                    t = texts[i]
+                    if i >= end or t in _EXPR_SPECIAL or t in stop:
+                        break
+                self.i = i
                 continue
             if t in stop or t == "}" or t == ";":
                 if t == "," and resume:

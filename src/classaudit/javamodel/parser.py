@@ -234,17 +234,8 @@ class _UnitParser:
 
         last_line = self.line(body_close)
         loc, blank = count_loc_and_blank(self.blank_before, (first_line, last_line))
-        units.append(SourceClass(
-            name=name,
-            qualified_name=qualified,
-            attributes=list(attributes),
-            methods=methods,
-            has_static_member=has_static,
-            line_span=(first_line, last_line),
-            loc=loc,
-            blank_lines=blank,
-            nested=nested,
-        ))
+        units.append(SourceClass(name, qualified, list(attributes), methods, has_static,
+                                 (first_line, last_line), loc, blank, nested))
         return body_close + 1
 
     def _skip_initializer(self, i: int, end: int) -> int:

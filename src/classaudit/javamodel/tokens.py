@@ -10,25 +10,29 @@ balanced; the shift operators nothing downstream cares about are simply
 split. ``texts`` and ``idents`` end in a sentinel, ``""`` and ``None``, so
 reading one past either end (index n, or -1) needs no bounds check.
 
-The whole file is scanned once, by ``split`` with one compiled pattern of
-four groups: the skipped text, one token, and two marks inside the token,
-the first character of an identifier and a bracket. The lists are slices of
-the result, so no Python code runs per token of an ASCII text. The skip
-takes every blank, newline and closed comment, comments that span lines
-included; the token group matches wherever that greedy skip stops, at a
-non-blank or at ``\\Z``, so the scan never backtracks into skipped text,
-which keeps it linear without the possessive quantifiers ``re`` has only
-from Python 3.11. The split reads ``["", skip0, token0, ident0, bracket0,
-"", skip1, ...]``: every fifth piece from the third is a token, up to the
-first ``\\Z`` match, which is the sentinel (skipped text at the end gives a
-second one), and a mark is ``None`` where its group took no part. An
-identifier starts with a letter (``str.isalpha``), ``_`` or ``$``; the
-pattern's identifier branch starts at any word character but a decimal
-digit, such as ``½`` or ``²`` too, so the marks of a text that is not ASCII
-are checked one by one. An unterminated comment, text block, string or char
-literal matches as one token running to the end of the text, so it can
-only be the last token, and matching that one against its closed form finds
-it.
+The whole file is scanned once, by ``split`` with one pattern of four
+groups: the skipped text, one token, and two marks inside the token, the
+first character of an identifier and a bracket. There are two such
+patterns, built from one template and chosen by ``text.isascii()``:
+``_LEXEME``, compiled at import with ASCII classes, which are cheaper to
+match, and for text that is not ASCII one with Unicode classes, compiled on
+first use. On ASCII text both split alike. The lists are slices of the
+result, so no Python code runs per token of an ASCII text. The skip takes
+every blank, newline and closed comment, comments that span lines included,
+and enters its comment loop only at a ``//`` or ``/*``; the token group
+matches wherever that greedy skip stops, at a non-blank or at ``\\Z``, so
+the scan never backtracks into skipped text, which keeps it linear without
+the possessive quantifiers ``re`` has only from Python 3.11. The split
+reads ``["", skip0, token0, ident0, bracket0, "", skip1, ...]``: every
+fifth piece from the third is a token, up to the first ``\\Z`` match, which
+is the sentinel (skipped text at the end gives a second one), and a mark is
+``None`` where its group took no part. An identifier starts with a letter
+(``str.isalpha``), ``_`` or ``$``; the Unicode pattern's identifier branch
+starts at any word character but a decimal digit, such as ``½`` or ``²``
+too, so the marks of a text that is not ASCII are checked one by one. An
+unterminated comment, text block, string or char literal matches as one
+token running to the end of the text, so it can only be the last token, and
+matching that one against its closed form finds it.
 
 The skipped texts are kept, one before each token and the sentinel, and a
 token's 1-based line is found only when asked for, by ``Tokens.line``: one
@@ -97,19 +101,25 @@ _CLOSED = {
     '"': r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"',
     "'": r"'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'",
 }
-# Every blank, newline and closed comment before a token, written so that
-# any skipped text has exactly one parse.
-_SKIP = r"\s*(?:(?://[^\n]*|" + _CLOSED["/*"] + r")\s*)*"
-# The skipped text, then one token. The token group must match wherever the
-# skip stops (a non-blank, or ``\Z`` at the end of the text), or the skip
-# would be backtracked. A ``/*`` there is one the skip found no close for;
-# it, and a literal not closed, runs to the end of the text. Two groups in
-# the token mark it, each by one character, so no identifier is copied: an
-# identifier's first, and a bracket. The most frequent tokens are tried
-# first, and those of one character before the operators of two.
-_LEXEME = re.compile(
-    f"({_SKIP})(" + r"""
-        ([^\W\d]|\$)[\w$]*                       # identifier
+
+
+def _lexeme_source(blank: str, non_blank: str, ident_start: str) -> str:
+    """The token pattern, over a class of whitespace, ``blank``, its
+    complement ``non_blank`` and the class of an identifier's first
+    character, ``ident_start``.
+
+    The skipped text comes first, then one token. The skip takes every blank,
+    newline and closed comment, written so that any skipped text has exactly
+    one parse, and enters the comment loop only at a ``//`` or ``/*``. The
+    token group must match wherever the skip stops (a non-blank, or ``\\Z``
+    at the end of the text), or the skip would be backtracked. A ``/*`` there
+    is one the skip found no close for; it, and a literal not closed, runs to
+    the end of the text. Two groups in the token mark it, each by one
+    character, so no identifier is copied: an identifier's first, and a
+    bracket. The most frequent tokens are tried first, and those of one
+    character before the operators of two."""
+    skip = f"{blank}*(?:(?=/[/*])(?:(?://[^\\n]*|{_CLOSED['/*']}){blank}*)*|)"
+    return f"({skip})(({ident_start})" + r"""[\w$]*    # identifier
       | ([(){}[\]])                              # bracket
       | [;,@?~]                                  # starts no longer token
       | /\*(?s:.*)
@@ -117,12 +127,26 @@ _LEXEME = re.compile(
                        for opener in ('"""', '"', "'")) + r"""
       | \d\w*(?:\.(?=\d)\w*)*                    # number
       | \.\.\.
-      | """ + "|".join(map(re.escape, _TWO_CHAR_OPS)) + r"""
-      | \S
-      | \Z
-    )""",
-    re.VERBOSE,
-)
+      | """ + "|".join(map(re.escape, _TWO_CHAR_OPS)) + f"""
+      | {non_blank}
+      | \\Z
+    )"""
+
+
+# The pattern for ASCII text. Its whitespace is what ``str.isspace`` takes
+# among ASCII characters, written out: ``re.ASCII``'s own ``\s`` leaves out
+# ``\x1c``-``\x1f``.
+_LEXEME = re.compile(_lexeme_source(r"[\t-\r\x1c-\x20]", r"[^\t-\r\x1c-\x20]", "[A-Za-z_$]"),
+                     re.VERBOSE | re.ASCII)
+_UNICODE_SOURCE = _lexeme_source(r"\s", r"\S", r"[^\W\d]|\$")
+
+
+def _unicode_lexeme() -> re.Pattern:
+    """The pattern for text that is not ASCII, compiled on first use and
+    cached by ``re`` from then on."""
+    return re.compile(_UNICODE_SOURCE, re.VERBOSE)
+
+
 _UNTERMINATED_MESSAGE = {
     "/*": "unterminated block comment",
     '"""': "unterminated text block",
@@ -294,17 +318,19 @@ class Tokens:
 def tokenize(text: str, file_id: str = "<memory>") -> Tokens:
     """Tokenize Java source; raises ParseError on malformed lexical input.
 
-    One ``_LEXEME.split`` of the whole text gives the tokens, the skipped
-    texts and the marks of the identifiers and the brackets, each by one
-    slice (see the module docstring).
+    One ``split`` of the whole text, by ``_LEXEME`` or, for text that is
+    not ASCII, by ``_unicode_lexeme()``, gives the tokens, the skipped texts
+    and the marks of the identifiers and the brackets, each by one slice
+    (see the module docstring).
     """
-    pieces = _LEXEME.split(text)
+    ascii_text = text.isascii()
+    pieces = (_LEXEME if ascii_text else _unicode_lexeme()).split(text)
     skipped = pieces[1::5]
     texts = pieces[2::5]
     idents = pieces[3::5]
     if len(texts) > 1 and not texts[-2]:  # skipped text at the end: two \Z
         del skipped[-1], texts[-1], idents[-1]
-    if not text.isascii():  # the identifier branch takes '½' and '²' too
+    if not ascii_text:  # the identifier branch takes '½' and '²' too
         idents = [None if mark is None or not (mark.isalpha() or mark in "_$") else mark
                   for mark in idents]
     tokens = Tokens(texts, idents, skipped, islice(pieces, 4, None, 5))

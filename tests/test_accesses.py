@@ -231,3 +231,18 @@ def test_pattern_of_an_annotated_or_inner_type_binds(label):
     assert accesses(f"if (o instanceof {label}) {{ x.f(); }}", {"x"}) == set()
     assert accesses(f"switch (o) {{ case {label} -> x.f(); default -> x.f(); }}",
                     {"x"}) == {"x"}  # bound in its own arm only
+
+
+def test_this_alone_is_no_access():
+    assert accesses("g(this, x); return this;", {"x"}) == {"x"}
+    assert accesses("return this == x ? this : x;", {"x"}) == {"x"}
+
+
+def test_a_field_and_a_recursive_call_share_the_method_name():
+    (cls,) = parse_compilation_unit("class A { int f; int f() { return f() + f; } }")
+    assert cls.methods[0].accessed_attributes == {"f"}
+    assert ("recursion", 0) in cls.methods[0].events
+    assert accesses("return f();", {"f"}, method="f") == set()
+    assert accesses("return f;", {"f"}, method="f") == {"f"}
+    (cls,) = parse_compilation_unit("class A { int f; int f() { return f + f(); } }")
+    assert ("recursion", 0) in cls.methods[0].events  # after the access, too

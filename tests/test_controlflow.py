@@ -91,6 +91,9 @@ def test_identifier_arrow_label_is_a_label_not_a_lambda():
     assert events == [("switch", 0), ("case", 0), ("case", 0)]
     (cls,) = parse_compilation_unit("class S { void m(int k) { " + body + " } }")
     assert class_metrics(cls).cc_total == 3
+    # Here too when the label is an attribute or the arm a recursive call.
+    _, events = analyze("switch (k) { case A -> m(); }", attrs={"A"})
+    assert events == [("switch", 0), ("case", 0), ("recursion", 1)]
 
 
 def test_guarded_and_parenthesized_arrow_labels_are_labels():
@@ -99,6 +102,11 @@ def test_guarded_and_parenthesized_arrow_labels_are_labels():
     for body in (guarded, parenthesized):
         _, events = analyze(body)
         assert events == [("switch", 0), ("case", 0), ("case", 0)], body
+
+
+def test_a_name_before_an_arrow_opens_a_lambda_after_its_access():
+    _, events = analyze("x = 1; f(x -> a ? b : c);", attrs={"x"})
+    assert events == [("ternary", 1)]
 
 
 def test_lambda_in_an_arrow_arm_is_still_a_lambda():

@@ -52,8 +52,8 @@ def test_source_parses_at_the_floor(path):
 
 @pytest.mark.parametrize(
     "pattern",
-    [tokens._LEXEME, *map(re.compile, tokens._CLOSED.values())],
-    ids=["lexeme", *tokens._CLOSED],
+    [tokens._LEXEME, tokens._unicode_lexeme(), *map(re.compile, tokens._CLOSED.values())],
+    ids=["lexeme", "unicode_lexeme", *tokens._CLOSED],
 )
 def test_lexer_patterns_use_no_newer_regex_features(pattern):
     ops = set(regex_ops(pattern))

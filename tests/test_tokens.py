@@ -1,7 +1,18 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from classaudit.errors import ParseError
+from classaudit.javamodel import tokens
 from classaudit.javamodel.tokens import tokenize
+
+FIXTURES = sorted(Path(__file__).parent.joinpath("fixtures").rglob("*.java"))
+# Operators, brackets, identifier and number characters, the three quote
+# kinds, a backslash, the comment marks, and every ASCII whitespace and control
+# character.
+ASCII_PIECES = (list("=+-*/%&|^!<>:.;,(){}[]ab1_$ \"'\\") + ["//", "/*", "*/", '"""']
+                + [chr(c) for c in (*range(0x20), 0x7f)])
 
 
 def triples(code):
@@ -138,3 +149,30 @@ def test_closed_literal_or_comment_at_the_end_is_not_unterminated(text, last):
 ])
 def test_non_decimal_numeric_characters_split_as_pinned(text, expected):
     assert triples(text) == expected
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_ascii_pattern_splits_fixtures_as_the_unicode_one(path):
+    text = path.read_text(encoding="utf-8")
+    assert text.isascii()
+    assert tokens._LEXEME.split(text) == tokens._unicode_lexeme().split(text)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ascii_pattern_splits_random_strings_as_the_unicode_one(seed):
+    rng = random.Random(seed)
+    unicode_lexeme = tokens._unicode_lexeme()
+    for _ in range(1000):
+        text = "".join(rng.choices(ASCII_PIECES, k=rng.randint(0, 40)))
+        assert tokens._LEXEME.split(text) == unicode_lexeme.split(text), repr(text)
+
+
+@pytest.mark.parametrize("text, unicode", [
+    ("½x", True), ("int é;", True), ("1.²", True), ("int x;", False),
+])
+def test_only_text_that_is_not_ascii_takes_the_unicode_pattern(monkeypatch, text, unicode):
+    calls = []
+    unicode_lexeme = tokens._unicode_lexeme
+    monkeypatch.setattr(tokens, "_unicode_lexeme", lambda: calls.append(text) or unicode_lexeme())
+    tokenize(text)
+    assert calls == ([text] if unicode else [])

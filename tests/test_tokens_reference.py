@@ -25,7 +25,8 @@ TWO_CHAR_OPS = frozenset(
     ["&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
      "%=", "&=", "|=", "^=", "->", "::", "++", "--"]
 )
-RANDOM_PIECES = list("ab1_$ .\n\t\r\x0c\"'\\/*{}()<>=&|+-;:é9") + ["/*", "*/", '"""', "//"]
+RANDOM_PIECES = (list("ab1_$ .\n\t\r\x0b\x0c\x1c\x1f\"'\\/*{}()<>=&|+-;:é9")
+                 + ["/*", "*/", '"""', "//"])
 MUTATION_INSERTS = ["{", "}", "(", ")", ";", '"', "'", "/*", "*/", '"""', "//", "\\"]
 IDENT, NUMBER, STRING, CHAR, OP = "ident", "number", "string", "char", "op"
 
