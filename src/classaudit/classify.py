@@ -120,7 +120,7 @@ def load_rules(path: Union[str, os.PathLike]) -> SuffixRules:
     exclude: List[str] = []
     sections = {"[utils]": utils, "[exclude]": exclude}
     current: Optional[List[str]] = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.read().split("\n")  # file lines, as an editor counts them
         except UnicodeDecodeError as exc:

@@ -31,8 +31,9 @@ read by ``Tokens.head_end``, as the parser reads a member type's.
 Nesting-depth convention (pinned so hand oracles can match it): the method
 body is depth 0; bodies of if/else branches, loops, switch blocks, catch
 blocks, ternary branch operands, lambda bodies and anonymous/local class
-bodies are one deeper. ``try``/``finally`` blocks, plain ``{}`` blocks, and
-control-clause expressions stay at the construct's own depth.
+bodies are one deeper. ``try``/``finally`` blocks, ``synchronized`` blocks,
+plain ``{}`` blocks, and control-clause expressions stay at the construct's
+own depth.
 
 The walker reads the file's token lists in place, over the body's index
 range ``span``. The token at ``span.stop`` must be the body's closing ``}``

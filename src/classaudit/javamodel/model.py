@@ -12,7 +12,7 @@ walker, one per decision construct; cyclomatic and cognitive complexity are
 both folds over that list (see ``metrics``).
 """
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .._record import Record
 
@@ -46,14 +46,10 @@ Event = Tuple[str, int]  # (kind, structural nesting depth)
 
 
 class MethodView(Record):
-    __slots__ = ("name", "parameter_types", "accessed_attributes", "events")
+    """A method's name, its list of parameter type names, the set of
+    attribute names it accesses, and its list of Events in source order."""
 
-    def __init__(self, name: str, parameter_types: List[str],
-                 accessed_attributes: Set[str], events: List[Event]):
-        self.name = name
-        self.parameter_types = parameter_types
-        self.accessed_attributes = accessed_attributes
-        self.events = events  # in source order
+    __slots__ = ("name", "parameter_types", "accessed_attributes", "events")
 
 
 class SourceClass(Record):

@@ -36,22 +36,11 @@ from .javamodel.model import (
 
 
 class ClassMetrics(Record):
+    """The seven metrics, each None where undefined, then the counts of
+    methods, attributes and distinct parameter types."""
+
     __slots__ = ("lcom5", "nhd", "cc_total", "coco_total", "coco_avg", "coco_min",
                  "coco_max", "k", "l_attr", "l_types")
-
-    def __init__(self, lcom5: Optional[float], nhd: Optional[float], cc_total: Optional[int],
-                 coco_total: Optional[int], coco_avg: Optional[float], coco_min: Optional[int],
-                 coco_max: Optional[int], k: int, l_attr: int, l_types: int):
-        self.lcom5 = lcom5
-        self.nhd = nhd
-        self.cc_total = cc_total
-        self.coco_total = coco_total
-        self.coco_avg = coco_avg
-        self.coco_min = coco_min
-        self.coco_max = coco_max
-        self.k = k
-        self.l_attr = l_attr
-        self.l_types = l_types
 
     def has_undefined(self) -> bool:
         """Whether any of the seven metrics is undefined. It reads the fields

@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ._record import Record
-from .classify import EXCLUDED_TO_REST, GroupKind, GroupLabel, SuffixRules, classify
+from .classify import EXCLUDED_TO_REST, GroupKind, SuffixRules, classify
 from .errors import ConfigError, EmptyInput, MissingColumn, ParseError, RowParseError
 from .javamodel.parser import parse_compilation_unit
 from .metrics import ClassMetrics, class_metrics
@@ -39,27 +39,6 @@ class ClassRecord(Record):
     __slots__ = ("qualified_name", "origin", *ClassMetrics.__slots__, "loc", "blank_lines",
                  "label")
 
-    def __init__(self, qualified_name: str, origin: str, lcom5: Optional[float],
-                 nhd: Optional[float], cc_total: Optional[int], coco_total: Optional[int],
-                 coco_avg: Optional[float], coco_min: Optional[int], coco_max: Optional[int],
-                 k: int, l_attr: int, l_types: int, loc: int, blank_lines: int,
-                 label: GroupLabel):
-        self.qualified_name = qualified_name
-        self.origin = origin
-        self.lcom5 = lcom5
-        self.nhd = nhd
-        self.cc_total = cc_total
-        self.coco_total = coco_total
-        self.coco_avg = coco_avg
-        self.coco_min = coco_min
-        self.coco_max = coco_max
-        self.k = k
-        self.l_attr = l_attr
-        self.l_types = l_types
-        self.loc = loc
-        self.blank_lines = blank_lines
-        self.label = label
-
     has_undefined = ClassMetrics.has_undefined
 
     @property
@@ -74,26 +53,12 @@ class ClassRecord(Record):
 
 
 class GroupSummary(Record):
+    """A GroupKind's class count, lines and means; a mean, and
+    ``loc_per_class``, is None where the group has no value to average."""
+
     __slots__ = ("label", "class_count", "loc_total", "loc_per_class", "lcom5_mean",
                  "nhd_mean", "cc_mean", "coco_mean", "acoco_mean", "mxcoco_mean",
                  "mncoco_mean")
-
-    def __init__(self, label: GroupKind, class_count: int, loc_total: int,
-                 loc_per_class: Optional[float], lcom5_mean: Optional[float],
-                 nhd_mean: Optional[float], cc_mean: Optional[float],
-                 coco_mean: Optional[float], acoco_mean: Optional[float],
-                 mxcoco_mean: Optional[float], mncoco_mean: Optional[float]):
-        self.label = label
-        self.class_count = class_count
-        self.loc_total = loc_total
-        self.loc_per_class = loc_per_class
-        self.lcom5_mean = lcom5_mean
-        self.nhd_mean = nhd_mean
-        self.cc_mean = cc_mean
-        self.coco_mean = coco_mean
-        self.acoco_mean = acoco_mean
-        self.mxcoco_mean = mxcoco_mean
-        self.mncoco_mean = mncoco_mean
 
 
 class Diagnostics(Record):
@@ -440,7 +405,7 @@ def load_cam_map(path: Optional[str]) -> Dict[str, str]:
     if path:
         import json  # only a --cam-map run reads JSON
 
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 overrides = json.load(fh)
             except ValueError as exc:  # not JSON, or not UTF-8
@@ -589,10 +554,11 @@ def ingest_cam_csv(
 def _open_at(path: str, offset: int):
     """A text handle on the CSV at ``path`` that reads from byte ``offset``,
     a line start, splitting lines at each \\n, \\r\\n and bare \\r as the
-    csv module wants them split."""
+    csv module wants them split. From the file's start it skips a UTF-8 BOM,
+    which holds no line break."""
     raw = open(path, "rb")
     raw.seek(offset)
-    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    return io.TextIOWrapper(raw, encoding="utf-8" if offset else "utf-8-sig", newline="")
 
 
 def _split_line(path: str, size: int) -> Optional[Tuple[int, int]]:
@@ -715,19 +681,11 @@ def quantile(values: Sequence[float], p: Union[float, Fraction]) -> float:
 
 
 class FilterOutcome(Record):
+    """The list of records kept, the three drop tallies and the ncloc
+    thresholds, None when no record has every metric defined."""
+
     __slots__ = ("kept", "input_count", "dropped_by_metric", "dropped_by_quantile",
                  "dropped_by_label", "q_low_value", "q_high_value")
-
-    def __init__(self, kept: List[ClassRecord], input_count: int, dropped_by_metric: int,
-                 dropped_by_quantile: int, dropped_by_label: int,
-                 q_low_value: Optional[float], q_high_value: Optional[float]):
-        self.kept = kept
-        self.input_count = input_count
-        self.dropped_by_metric = dropped_by_metric
-        self.dropped_by_quantile = dropped_by_quantile
-        self.dropped_by_label = dropped_by_label
-        self.q_low_value = q_low_value
-        self.q_high_value = q_high_value
 
     @property
     def output_count(self) -> int:

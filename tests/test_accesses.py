@@ -246,3 +246,18 @@ def test_a_field_and_a_recursive_call_share_the_method_name():
     assert accesses("return f;", {"f"}, method="f") == {"f"}
     (cls,) = parse_compilation_unit("class A { int f; int f() { return f + f(); } }")
     assert ("recursion", 0) in cls.methods[0].events  # after the access, too
+
+
+SYNCHRONIZED = "class A { Object lock; int n; void f() { synchronized (lock) { if (n > 0) { n--; } } } }"
+
+
+def test_synchronized_lock_and_block_are_read():
+    (cls,) = parse_compilation_unit(SYNCHRONIZED)
+    (f,) = cls.methods
+    assert f.accessed_attributes == {"lock", "n"}
+
+
+def test_a_type_after_instanceof_is_never_an_access():
+    attrs = {"o", "b", "List"}
+    assert accesses("b = o instanceof List;", attrs) == {"b", "o"}
+    assert accesses("b = o instanceof java.util.List && List > 0;", attrs) == {"List", "b", "o"}

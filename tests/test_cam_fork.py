@@ -116,6 +116,17 @@ def test_hostile_rows_on_both_sides_of_the_split(tmp_path, monkeypatch, small_ce
     assert diag["warnings"] == []
 
 
+def test_a_leading_bom_reads_as_the_same_csv(tmp_path, monkeypatch, small_cells):
+    text = HEADER + hostile_half(0) + hostile_half(100)
+    path = write(tmp_path, text)
+    plain = read(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    forked, serial, built = forked_and_serial(path, monkeypatch)
+    assert built <= 14
+    assert forked == serial == plain
+    assert len(plain[0]) == 24
+
+
 def test_a_quoted_cell_across_the_split_is_read_by_the_parent(tmp_path, monkeypatch):
     cell = "x\n" * 200
     text = (HEADER + "".join(good(i) for i in range(20))

@@ -42,7 +42,7 @@ def reference_ingest_cam_csv(path, column_map, rules=SuffixRules(),
         if key not in column_map:
             raise MissingColumn(f"column map does not bind '{key}'")
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for key in CAM_REQUIRED_KEYS:

@@ -190,6 +190,20 @@ def test_rules_file_missing_sections_keep_defaults(tmp_path):
     assert rules.exclusion_suffixes == DEFAULT_EXCLUSION_SUFFIXES
 
 
+def test_rules_file_with_a_bom_reads_as_without(tmp_path):
+    text = "# comment\n[utils]\nHelper\n\n[exclude]\nServer\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_rules(bom) == load_rules(plain) == SuffixRules(("Helper",), ("Server",))
+
+
+def test_empty_utils_suffixes_rejected():
+    with pytest.raises(ValueError, match="utils suffix list must be non-empty"):
+        SuffixRules(utils_suffixes=())
+
+
 def test_duplicate_exclusions_rejected():
     with pytest.raises(ValueError):
         SuffixRules(exclusion_suffixes=("Logger", "Logger"))

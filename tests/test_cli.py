@@ -2,13 +2,15 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from classaudit import pipeline
-from classaudit.cli import config_from_args, main, run
+from classaudit.cli import build_arg_parser, config_from_args, main, run
 
 from conftest import child_env, fixture_copies, refuse_listing
 
@@ -117,10 +119,11 @@ def test_rules_file_flag(tmp_path, corpus_dir):
     (b"[utils]\r\nHelper\fKit\r\n[eror]\r\n",
      ":3: unknown section [eror], expected [utils] or [exclude]"),
     (b"# comment\nHelper\n[utils]\nKit\n", ":2: suffix 'Helper' before any section header"),
+    (b"\xef\xbb\xbfHelper\n[utils]\n", ":1: suffix 'Helper' before any section header"),
     (b"[exclude]\nLogger\n\nLogger\n", ":4: repeated exclusion suffix 'Logger'"),
     (b"[utils]\n\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
-], ids=["unknown_header", "crlf_and_form_feed", "suffix_before_header", "repeated_exclusion",
-         "not_utf8"])
+], ids=["unknown_header", "crlf_and_form_feed", "suffix_before_header",
+         "suffix_before_header_after_a_bom", "repeated_exclusion", "not_utf8"])
 def test_rules_file_mistake_is_an_error_line(tmp_path, corpus_dir, capsys, content, message):
     rules = tmp_path / "rules.txt"
     rules.write_bytes(content)
@@ -144,6 +147,27 @@ def test_bad_cam_map_is_an_error_line(tmp_path, capsys, content, message):
     cam_map.write_bytes(content)
     assert main(["--mode=cam", f"--input={csv_path}", f"--cam-map={cam_map}"]) == 1
     assert capsys.readouterr() == ("", f"error: {cam_map}: {message}\n")
+
+
+def test_cam_csv_and_cam_map_with_a_bom_read_as_without(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    csv_path, cam_map = tmp_path / "cam.csv", tmp_path / "map.json"
+    csv_text = ("class_name,lcom5,nhd,cc,coco,acoco,mxcoco,mncoco,loc,blanks,static\n"
+                + "".join(f"p.C{i}Manager,0.5,0.7,3,4,2.0,3,1,{100 + i},10,false\n"
+                          for i in range(20))
+                + "p.Bad,zzz,0.7,3,4,2.0,3,1,100,10,false\n").encode()
+    map_text = json.dumps({"static": "static"}).encode()
+    argv = ["--mode=cam", f"--input={csv_path}", f"--cam-map={cam_map}", "--format=json"]
+    csv_path.write_bytes(csv_text)
+    cam_map.write_bytes(map_text)
+    plain = run_cli(argv)
+    assert plain[0] == 0
+    assert plain[2] == f"SKIP {csv_path}:22 bad numeric value 'zzz' in column 'lcom5'\n"
+    for csv_bytes, map_bytes in [(bom + csv_text, map_text), (csv_text, bom + map_text),
+                                 (bom + csv_text, bom + map_text)]:
+        csv_path.write_bytes(csv_bytes)
+        cam_map.write_bytes(map_bytes)
+        assert run_cli(argv) == plain
 
 
 def test_cam_row_with_empty_simple_name_is_a_skip_line(tmp_path, capsys):
@@ -309,6 +333,18 @@ def test_main_rejects_unknown_format(corpus_dir, capsys):
     assert "--format" in err
 
 
+@pytest.mark.parametrize("flag", ["--q-low=abc", "--q-high=1/0"])
+def test_main_rejects_a_quantile_that_is_not_a_number(corpus_dir, capsys, flag):
+    assert main(["--mode=source", f"--input={corpus_dir}", flag]) == 1
+    q_low, q_high = "0.01", "0.99"
+    if flag.startswith("--q-low"):
+        q_low = flag.split("=")[1]
+    else:
+        q_high = flag.split("=")[1]
+    assert capsys.readouterr() == (
+        "", f"error: bad quantile value: --q-low={q_low} --q-high={q_high}\n")
+
+
 def test_main_missing_mode_exits_one(corpus_dir, capsys):
     assert main([f"--input={corpus_dir}"]) == 1
     err = capsys.readouterr().err
@@ -321,3 +357,11 @@ def test_main_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "--mode" in capsys.readouterr().out
+
+
+def test_readme_usage_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    defined = {option for action in build_arg_parser()._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == defined - {"--help"}

@@ -248,3 +248,15 @@ def test_nested_events_strictly_deeper():
 def test_labeled_statement_parses():
     kinds, _ = analyze("outer: for (int i = 0; i < 3; i++) { continue outer; }")
     assert kinds["loop"] == 1
+
+
+def test_a_synchronized_block_does_not_nest():
+    (cls,) = parse_compilation_unit(
+        "class A { Object lock; int n; void f() { synchronized (lock) { if (n > 0) { n--; } } } }")
+    (f,) = cls.methods
+    assert f.events == [("if", 0)]
+
+
+def test_an_operator_after_an_instanceof_type_is_an_event():
+    _, events = analyze("b = o instanceof java.util.List && List > 0;", attrs={"o", "b", "List"})
+    assert events == [("bool_run", 0)]

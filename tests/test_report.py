@@ -32,6 +32,11 @@ def three_groups():
     ]
 
 
+def test_an_unknown_format_is_rejected():
+    with pytest.raises(ValueError, match="^unknown format: xml$"):
+        render_tables(three_groups(), format="xml")
+
+
 def test_csv_single_summary_header_and_row():
     out = render_tables([summary(GroupKind.EROR)], format="csv")
     lines = out.strip().splitlines()
